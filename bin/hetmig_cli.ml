@@ -753,7 +753,12 @@ let cluster_cmd =
       match power_cap with
       | None -> cfg
       | Some w ->
-        let w = must (Sched.Validate.positive_float ~what:"--power-cap" w) in
+        let w =
+          must
+            (if policy = Sched.Cluster.Pack_power_cap then
+               Sched.Validate.power_cap ~topology w
+             else Sched.Validate.positive_float ~what:"--power-cap" w)
+        in
         { cfg with Sched.Cluster.power_cap_w = w }
     in
     let domains =
@@ -800,7 +805,9 @@ let cluster_cmd =
     Arg.(value & opt (some float) None
          & info [ "power-cap" ] ~docv:"W"
              ~doc:"Projected cluster power budget for pack-power-cap \
-                   (default: 75% of 110W per node).")
+                   (default: 75% of 110W per node). It must admit a \
+                   4-thread job on an otherwise idle cluster; a lower \
+                   value is rejected with the minimum.")
   in
   let islands =
     Arg.(value & opt (some int) None
@@ -852,9 +859,11 @@ let serve_cmd =
     (* Sources are lazy: nothing here materializes a trace. The run
        opens its own fresh stream, so memory stays independent of how
        many requests the source will yield. *)
+    let must v = validated ~cmd:"serve" v in
     let source =
       match trace_file with
-      | Some path -> Sched.Arrival.Replay_file path
+      | Some path ->
+        Sched.Arrival.Replay_file (must (Sched.Validate.trace_file path))
       | None -> begin
         match arrivals with
         | "bursty" ->
@@ -867,7 +876,6 @@ let serve_cmd =
           exit 2
       end
     in
-    let must v = validated ~cmd:"serve" v in
     let nodes = must (Sched.Validate.at_least ~what:"--nodes" ~min:2 nodes) in
     let epoch = must (Sched.Validate.positive_float ~what:"--epoch" epoch) in
     let islands = must (Sched.Validate.islands islands) in

@@ -155,8 +155,14 @@ let to_file trace path =
         (fun r -> Printf.fprintf oc "%h %d\n" r.at r.svc)
         trace.requests)
 
+(* A parse failure carries "<path>, line <n>: <why>". The readers
+   re-raise it as [Invalid_argument]; {!check_file} returns it. *)
+exception Malformed of string
+
 let bad_line path line msg =
-  invalid_arg (Printf.sprintf "Arrival.of_file %s, line %d: %s" path line msg)
+  raise (Malformed (Printf.sprintf "%s, line %d: %s" path line msg))
+
+let invalid_trace m = invalid_arg ("Arrival.of_file " ^ m)
 
 let parse_header path ic =
   let header =
@@ -201,7 +207,9 @@ let of_file path =
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
-      let services, tname = parse_header path ic in
+      let services, tname =
+        try parse_header path ic with Malformed m -> invalid_trace m
+      in
       let pairs = ref [] in
       let k = ref 0 in
       let line = ref 1 in
@@ -215,7 +223,9 @@ let of_file path =
              pairs := (at, svc, !k) :: !pairs;
              incr k
          done
-       with End_of_file -> ());
+       with
+      | End_of_file -> ()
+      | Malformed m -> invalid_trace m);
       finalize ~tname ~services !pairs)
 
 (* --- streaming traces -------------------------------------------------- *)
@@ -479,14 +489,8 @@ let stream_of_trace trace =
    everything {!to_file}/{!stream_to_file} writes is — because a stream
    cannot re-sort what it has not read yet; out-of-order input raises
    (use the materializing {!of_file} for hand-written unsorted traces). *)
-let stream_of_file path =
-  let ic = open_in path in
-  let services, tname =
-    try parse_header path ic
-    with e ->
-      close_in_noerr ic;
-      raise e
-  in
+let file_stream path ic =
+  let services, tname = parse_header path ic in
   let closed = ref false in
   let close () =
     if not !closed then begin
@@ -526,6 +530,36 @@ let stream_of_file path =
     pull;
     sclose = close;
   }
+
+let stream_of_file path =
+  let ic = open_in path in
+  match file_stream path ic with
+  | exception Malformed m ->
+    close_in_noerr ic;
+    invalid_trace m
+  | s ->
+    let raw = s.pull in
+    let pull s =
+      match raw s with
+      | more -> more
+      | exception Malformed m ->
+        close_in_noerr ic;
+        invalid_trace m
+    in
+    { s with pull }
+
+let check_file path =
+  match open_in path with
+  | exception Sys_error m -> Error m
+  | ic -> (
+    match
+      let s = file_stream path ic in
+      while s.pull s do () done
+    with
+    | () -> Ok ()
+    | exception Malformed m ->
+      close_in_noerr ic;
+      Error m)
 
 (* A [source] names a trace without holding it: generator parameters or
    a file path. Streams are one-shot stateful cursors, so anything that

@@ -77,6 +77,12 @@ val to_file : request_trace -> string -> unit
     [<at> <svc>] line per request. Times are lossless hex floats, so
     [of_file (to_file t)] reproduces [t] bit-identically. *)
 
+val check_file : string -> (unit, string) result
+(** Read a whole trace file as a {!Replay_file} stream would, in
+    constant memory. [Error "<path>, line <n>: <why>"] names the first
+    malformed, out-of-range or out-of-order line; a file that cannot be
+    opened gives the system's message. *)
+
 val of_file : string -> request_trace
 (** Parse a trace file ({!to_file}'s format; decimal times and [#]
     comment lines are also accepted). Requests are re-canonicalized:

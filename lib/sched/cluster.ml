@@ -187,6 +187,85 @@ let efficiency (m : Machine.Server.t) cat =
   Machine.Server.peak_mips m cat
   /. Machine.Power.system_power m.Machine.Server.power ~utilization:1.0
 
+(* --- power-capped admission ---------------------------------------------- *)
+
+(* Projected cluster power is the sum over nodes of each node's system
+   power at its scheduler-estimated load. Summing it afresh for every
+   candidate costs O(nodes) per candidate, O(nodes²) per placement; the
+   admission rule instead sums once and scores each candidate in O(1)
+   as [base − P_n(load_n) + P_n(load_n + extra)].
+
+   That estimate is not bit-identical to the exact left-to-right sum.
+   Both are recursive sums of at most N non-negative terms, each no
+   larger than [sigma] (the cluster's full-tilt draw), so each lies
+   within (N−1)·u·sigma of the real sum (u = ε/2 the unit roundoff), and
+   the estimate's two extra operations add at most 2·u·sigma more:
+   |estimate − exact| ≤ (N+1)·ε·sigma. [guard_w] doubles that bound. A
+   candidate whose estimate clears the cap by more than [guard_w] in
+   either direction is decided at once; one inside the band is
+   re-checked with the exact sum, so every decision equals the exact
+   [projected ≤ cap]. *)
+module Admission = struct
+  type t = {
+    power : float array array;
+        (* node -> load -> system W; loads at or above the core count
+           all read full tilt, so a row has [cores + 1] entries *)
+    guard_w : float;
+  }
+
+  let create topo =
+    let n_nodes = Machine.Topology.nodes topo in
+    let power =
+      Array.init n_nodes (fun n ->
+          let m = Machine.Topology.server topo n in
+          let cores = m.Machine.Server.cores in
+          Array.init (cores + 1) (fun load ->
+              Machine.Power.system_power m.Machine.Server.power
+                ~utilization:
+                  (Float.min 1.0 (float_of_int load /. float_of_int cores))))
+    in
+    let sigma =
+      Array.fold_left (fun acc row -> acc +. row.(Array.length row - 1)) 0.0
+        power
+    in
+    { power; guard_w = 2.0 *. float_of_int (n_nodes + 1) *. epsilon_float *. sigma }
+
+  let node_power t n load =
+    let row = t.power.(n) in
+    row.(min load (Array.length row - 1))
+
+  (* The exact sum, in node order, with [extra] threads on node [on]. *)
+  let projected t loads ~on ~extra =
+    let total = ref 0.0 in
+    for n = 0 to Array.length t.power - 1 do
+      let load = loads.(n) + if n = on then extra else 0 in
+      total := !total +. node_power t n load
+    done;
+    !total
+
+  let admits t loads ~base ~cap ~on ~extra =
+    let load = loads.(on) in
+    let estimate =
+      base -. node_power t on load +. node_power t on (load + extra)
+    in
+    if estimate < cap -. t.guard_w then true
+    else if estimate > cap +. t.guard_w then false
+    else projected t loads ~on ~extra <= cap
+
+  let min_cap t ~extra =
+    let idle = Array.make (Array.length t.power) 0 in
+    let best = ref Float.infinity in
+    for n = 0 to Array.length t.power - 1 do
+      best := Float.min !best (projected t idle ~on:n ~extra)
+    done;
+    !best
+end
+
+let max_threads = Array.fold_left max 0 thread_counts
+
+let min_power_cap topo =
+  Admission.min_cap (Admission.create topo) ~extra:max_threads
+
 (* --- the simulation ---------------------------------------------------- *)
 
 let run_impl ?(domains = 1) ~capture cfg =
@@ -198,6 +277,16 @@ let run_impl ?(domains = 1) ~capture cfg =
   if not (Float.is_finite cfg.power_cap_w) || cfg.power_cap_w <= 0.0 then
     invalid_arg "Cluster.run: power cap must be positive";
   let topo = cfg.topology in
+  let admission = Admission.create topo in
+  (* Under a cap below this, the head job may never fit even on an
+     idle cluster, and admission would block forever. *)
+  (if cfg.policy = Pack_power_cap then
+     let floor_w = Admission.min_cap admission ~extra:max_threads in
+     if cfg.power_cap_w < floor_w then
+       invalid_arg
+         (Printf.sprintf
+            "Cluster.run: power cap %gW is below the minimum admissible %gW"
+            cfg.power_cap_w floor_w));
   let ctrl_delay =
     Array.init n_nodes (fun i ->
         cfg.epoch_s
@@ -397,34 +486,23 @@ let run_impl ?(domains = 1) ~capture cfg =
   let fits n (job : job) =
     sched.est_load.(n) + job.threads <= 2 * sched.cores.(n)
   in
-  (* Projected cluster power from the scheduler's load estimates, with
-     [extra] threads placed on node [on]: the bin-packing budget. *)
-  let projected_power ~on ~extra =
-    let total = ref 0.0 in
-    for n = 0 to n_nodes - 1 do
-      let load = sched.est_load.(n) + if n = on then extra else 0 in
-      let u =
-        Float.min 1.0 (float_of_int load /. float_of_int sched.cores.(n))
-      in
-      total :=
-        !total
-        +. Machine.Power.system_power
-             nodes.(n).machine.Machine.Server.power ~utilization:u
-    done;
-    !total
-  in
   let pick_node (job : job) =
     match cfg.policy with
     | Pack_power_cap ->
       (* Best-fit packing: the fullest node (highest utilization after
-         placement) that still fits and keeps the cluster under the
-         power budget. Consolidation lets the rest of the fleet idle. *)
+         placement) that still fits and keeps the projected cluster
+         power, from the scheduler's load estimates, under the budget.
+         Consolidation lets the rest of the fleet idle. *)
+      let loads = sched.est_load in
+      let base = Admission.projected admission loads ~on:(-1) ~extra:0 in
       let best = ref (-1) in
       let best_u = ref (-1.0) in
       let blocked = ref false in
       for n = 0 to n_nodes - 1 do
         if fits n job then begin
-          if projected_power ~on:n ~extra:job.threads <= cfg.power_cap_w
+          if
+            Admission.admits admission loads ~base ~cap:cfg.power_cap_w ~on:n
+              ~extra:job.threads
           then begin
             let u =
               float_of_int (sched.est_load.(n) + job.threads)
@@ -442,7 +520,8 @@ let run_impl ?(domains = 1) ~capture cfg =
       if !best >= 0 then begin
         sched.peak_power_w <-
           Float.max sched.peak_power_w
-            (projected_power ~on:!best ~extra:job.threads);
+            (Admission.projected admission loads ~on:!best
+               ~extra:job.threads);
         Some !best
       end
       else None
@@ -481,6 +560,7 @@ let run_impl ?(domains = 1) ~capture cfg =
       done;
       !found
   in
+  let rack_victim = Array.make (Machine.Topology.racks topo) (-1) in
   let rebalance isl =
     match cfg.policy with
     | Pack_power_cap -> ()  (* the cap is enforced at admission *)
@@ -516,30 +596,28 @@ let run_impl ?(domains = 1) ~capture cfg =
     | Work_steal ->
       (* Every idle node steals from the most-loaded victim, in-rack
          victims first: the aggregation hop makes remote theft dearer
-         than local. One theft per thief per epoch. *)
-      for thief = 0 to n_nodes - 1 do
-        if sched.est_load.(thief) = 0 then begin
-          let victim = ref (-1) in
-          let victim_load = ref 1 (* steal only from load >= 2 *) in
-          let better n =
-            sched.est_load.(n) > !victim_load
-            || sched.est_load.(n) = !victim_load
-               && !victim >= 0
-               && Machine.Topology.same_rack topo n thief
-               && not (Machine.Topology.same_rack topo !victim thief)
-          in
-          for n = 0 to n_nodes - 1 do
-            if n <> thief && sched.est_load.(n) >= 2 && better n then begin
-              victim := n;
-              victim_load := sched.est_load.(n)
-            end
-          done;
-          if !victim >= 0 then
-            Sim.Islands.post isl ~dst:(!victim + 1)
-              ~after:ctrl_delay.(!victim)
+         than local. One theft per thief per epoch. Victims carry the
+         top load (at least 2); the lowest-index one breaks ties, in
+         the thief's rack if any there carries it, else cluster-wide. *)
+      let top = Array.fold_left max 1 sched.est_load in
+      if top >= 2 then begin
+        let first = ref (-1) in
+        Array.fill rack_victim 0 (Array.length rack_victim) (-1);
+        for n = n_nodes - 1 downto 0 do
+          if sched.est_load.(n) = top then begin
+            first := n;
+            rack_victim.(Machine.Topology.rack topo n) <- n
+          end
+        done;
+        for thief = 0 to n_nodes - 1 do
+          if sched.est_load.(thief) = 0 then begin
+            let in_rack = rack_victim.(Machine.Topology.rack topo thief) in
+            let victim = if in_rack >= 0 then in_rack else !first in
+            Sim.Islands.post isl ~dst:(victim + 1) ~after:ctrl_delay.(victim)
               (migrate_cmd ~steal:true ~dst:thief)
-        end
-      done
+          end
+        done
+      end
   in
   let rec tick isl =
     touch_sched isl;

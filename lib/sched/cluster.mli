@@ -55,10 +55,39 @@ type result = {
   windows : int;
 }
 
+(** Power-capped admission for {!Pack_power_cap}: is the projected
+    cluster power — the sum in node order of each node's system power at
+    its estimated thread load — within the cap once [extra] threads land
+    on a candidate node? {!admits} answers in O(1) per candidate from a
+    once-per-placement {!projected} base sum, falling back to the exact
+    O(nodes) sum only when the estimate is within a rounding guard band
+    of the cap, so its answer always equals the exact comparison. *)
+module Admission : sig
+  type t
+
+  val create : Machine.Topology.t -> t
+
+  val projected : t -> int array -> on:int -> extra:int -> float
+  (** [projected t loads ~on ~extra]: exact projected power with
+      [extra] more threads on node [on] ([on = -1] for none). *)
+
+  val admits :
+    t -> int array -> base:float -> cap:float -> on:int -> extra:int -> bool
+  (** [admits t loads ~base ~cap ~on ~extra] where
+      [base = projected t loads ~on:(-1) ~extra:0]: exactly
+      [projected t loads ~on ~extra <= cap]. *)
+end
+
+val min_power_cap : Machine.Topology.t -> float
+(** The smallest [power_cap_w] under which a job of the pool's largest
+    thread count can be placed on an otherwise idle cluster. Below it,
+    {!Pack_power_cap} admission could block forever. *)
+
 val run : ?domains:int -> config -> result
 (** Deterministic: the result is a pure function of [config], not of
     [domains]. Raises [Invalid_argument] for a topology with fewer than
-    2 nodes, [jobs < 1], or non-positive [epoch_s]/[power_cap_w]. *)
+    2 nodes, [jobs < 1], non-positive [epoch_s]/[power_cap_w], or a
+    {!Pack_power_cap} [power_cap_w] below {!min_power_cap}. *)
 
 val run_audited : ?domains:int -> config -> result * Sim.Islands.capture
 (** Like {!run}, with the runtime's audit capture enabled (ownership

@@ -81,3 +81,29 @@ let topology ~nodes ~racks ~mix_name =
            ~interconnect:Machine.Interconnect.ethernet_10g ())
     else
       Ok (Machine.Topology.make ~mix ~racks ~nodes_per_rack:(nodes / racks) ())
+
+(* [--power-cap] for pack-power-cap: below {!Cluster.min_power_cap} the
+   head job can never be admitted and the run would never end. The
+   minimum is shown rounded up to 0.1 W so the shown value itself is
+   admissible. *)
+let power_cap ~topology w =
+  match positive_float ~what:"--power-cap" w with
+  | Error _ as e -> e
+  | Ok w ->
+    let floor_w = Cluster.min_power_cap topology in
+    if w >= floor_w then Ok w
+    else begin
+      let shown = Float.ceil (floor_w *. 10.0) /. 10.0 in
+      let shown = if shown < floor_w then shown +. 0.1 else shown in
+      errf
+        "--power-cap %g is below the minimum admissible %.1f W for this \
+         topology (the idle draw plus the widest job on its cheapest node)"
+        w shown
+    end
+
+(* [--trace-file]: read the whole trace up front, so a malformed line
+   is a usage error rather than an exception in the middle of a run. *)
+let trace_file path =
+  match Arrival.check_file path with
+  | Ok () -> Ok path
+  | Error m -> errf "--trace-file: %s" m

@@ -31,3 +31,12 @@ val topology :
     the paper's 10GbE point-to-point interconnect; more racks use the
     datacenter-grade ToR/aggregation defaults. [nodes] must divide
     evenly into [racks]. *)
+
+val power_cap : topology:Machine.Topology.t -> float -> (float, string) result
+(** [--power-cap] for [pack-power-cap]: positive and at least
+    {!Cluster.min_power_cap}, which the message names. *)
+
+val trace_file : string -> (string, string) result
+(** [--trace-file]: the file opens and every line parses
+    ({!Arrival.check_file}); the message names the flag, the path and
+    the offending line. *)

@@ -26,4 +26,5 @@ let () =
       ("core", Test_core.suite);
       ("analysis", Test_analysis.suite);
       ("audit", Test_audit.suite);
+      ("cluster", Test_cluster.suite);
     ]
