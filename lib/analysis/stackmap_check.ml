@@ -101,7 +101,7 @@ let check_isa ~label ~prog (p : Compiler.Toolchain.per_isa) =
           (fun (s : Ir.Liveness.site) ->
             let site = site_str s.Ir.Liveness.kind s.Ir.Liveness.id in
             match
-              Compiler.Stackmap.find p.Compiler.Toolchain.stackmaps ~fname
+              Compiler.Toolchain.stackmap_of p ~fname
                 ~key:(s.Ir.Liveness.kind, s.Ir.Liveness.id)
             with
             | None ->

@@ -1,5 +1,9 @@
 type location = In_register of Isa.Register.t | In_slot of int
 
+module SM = Map.Make (String)
+
+type homes = { source : (string * location) list; by_name : location SM.t }
+
 type frame = {
   arch : Isa.Arch.t;
   fname : string;
@@ -8,7 +12,17 @@ type frame = {
   callee_saved_used : Isa.Register.t list;
   save_offsets : (Isa.Register.t * int) list;
   locals_bytes : int;
+  homes : homes;
 }
+
+(* First binding wins, as with [List.assoc]. *)
+let homes_of source =
+  let by_name =
+    List.fold_left
+      (fun m (name, loc) -> if SM.mem name m then m else SM.add name loc m)
+      SM.empty source
+  in
+  { source; by_name }
 
 (* --- code size estimation -------------------------------------------- *)
 
@@ -69,7 +83,6 @@ let code_size arch (func : Ir.Prog.func) =
 
 (* --- frame layout ----------------------------------------------------- *)
 
-module SM = Map.Make (String)
 module SS = Set.Make (String)
 
 let reference_counts (func : Ir.Prog.func) =
@@ -193,25 +206,21 @@ let frame_layout arch (func : Ir.Prog.func) =
   in
   let locals_bytes = !cursor - saves_bytes in
   let frame_bytes = Isa.Abi.align_up (16 + !cursor) 16 in
+  let locations = regs @ scalar_slots @ vector_slots in
   {
     arch;
     fname = func.fname;
     frame_bytes;
-    locations = regs @ scalar_slots @ vector_slots;
+    locations;
     callee_saved_used;
     save_offsets;
     locals_bytes;
+    homes = homes_of locations;
   }
 
-let location_indexes : ((string * location) list, string, location) Index.t =
-  Index.create ()
-
 let location_of frame name =
-  let tbl =
-    Index.find location_indexes frame.locations ~build:(fun tbl locations ->
-        List.iter (fun (n, loc) -> Index.add_first tbl n loc) locations)
-  in
-  Hashtbl.find tbl name
+  if frame.homes.source == frame.locations then SM.find name frame.homes.by_name
+  else List.assoc name frame.locations
 
 let migration_point_cost = function
   | Isa.Arch.Arm64 -> 6

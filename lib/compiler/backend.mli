@@ -15,6 +15,9 @@ type location =
       (** the value occupies [\[FP - k, FP - k + size)]: [k] is the byte
           offset below the frame pointer of the value's lowest address *)
 
+type homes
+(** [locations] resolved into a map once, at {!frame_layout}. *)
+
 type frame = {
   arch : Isa.Arch.t;
   fname : string;
@@ -27,6 +30,10 @@ type frame = {
       (** byte offset below FP of each saved register's slot (vector
           saves are 16 bytes wide and 16-aligned) *)
   locals_bytes : int;
+  homes : homes;
+      (** answers {!location_of} while [locations] is physically the list
+          it was built from; a frame rebuilt with other locations is
+          searched linearly instead *)
 }
 
 val code_size : Isa.Arch.t -> Ir.Prog.func -> int
@@ -44,7 +51,7 @@ val frame_layout : Isa.Arch.t -> Ir.Prog.func -> frame
     16-byte, 16-aligned slots when spilled. *)
 
 val location_of : frame -> string -> location
-(** Raises [Not_found]. *)
+(** The first binding of the name in [locations]. Raises [Not_found]. *)
 
 val migration_point_cost : Isa.Arch.t -> int
 (** Extra instructions executed per migration-point check: a call into the

@@ -12,35 +12,31 @@ let generate (func : Ir.Prog.func) (frame : Backend.frame) =
   let types =
     List.map (fun v -> (v.Ir.Prog.vname, v.Ir.Prog.ty)) (Ir.Prog.locals func)
   in
+  (* One (name, type + location) pair per local, shared by every site
+     the local is live at. *)
+  let pairs = Hashtbl.create 16 in
+  let pair name =
+    match Hashtbl.find_opt pairs name with
+    | Some p -> p
+    | None ->
+      let ty =
+        match List.assoc_opt name types with Some ty -> ty | None -> Ir.Ty.I64
+      in
+      let p = (name, { ty; loc = Backend.location_of frame name }) in
+      Hashtbl.add pairs name p;
+      p
+  in
   let sites = Ir.Liveness.analyze func in
   List.map
     (fun (s : Ir.Liveness.site) ->
-      let live =
-        List.map
-          (fun name ->
-            let ty =
-              match List.assoc_opt name types with
-              | Some ty -> ty
-              | None -> Ir.Ty.I64
-            in
-            (name, { ty; loc = Backend.location_of frame name }))
-          (List.sort compare s.live)
-      in
+      let live = List.map pair (List.sort compare s.live) in
       { fname = func.fname; kind = s.kind; site_id = s.id; live })
     sites
 
-let site_indexes :
-    (entry list, string * Ir.Liveness.site_kind * int, entry) Index.t =
-  Index.create ()
-
 let find entries ~fname ~key:(kind, site_id) =
-  let tbl =
-    Index.find site_indexes entries ~build:(fun tbl entries ->
-        List.iter
-          (fun e -> Index.add_first tbl (e.fname, e.kind, e.site_id) e)
-          entries)
-  in
-  Hashtbl.find_opt tbl (fname, kind, site_id)
+  List.find_opt
+    (fun e -> e.site_id = site_id && e.kind = kind && e.fname = fname)
+    entries
 
 type mismatch =
   | Site_missing of {
@@ -127,7 +123,11 @@ let diff_sites a b =
 let join_sites a b =
   let mismatches = diff_sites a b in
   let by_key = Hashtbl.create (List.length b) in
-  List.iter (fun e -> Index.add_first by_key (entry_key e) e) b;
+  List.iter
+    (fun e ->
+      let k = entry_key e in
+      if not (Hashtbl.mem by_key k) then Hashtbl.add by_key k e)
+    b;
   let pairs =
     List.filter_map
       (fun ea ->

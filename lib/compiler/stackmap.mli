@@ -24,6 +24,9 @@ val generate : Ir.Prog.func -> Backend.frame -> entry list
 (** One entry per equivalence point of the function, in syntactic order. *)
 
 val find : entry list -> fname:string -> key:site_key -> entry option
+(** The first entry for the site, by a linear scan of the list in hand.
+    {!Toolchain.stackmap_of} answers the same question from the binary's
+    index. *)
 
 (** {1 Cross-ISA agreement}
 

@@ -60,13 +60,20 @@ let return_value = function
   | Arch.Arm64 -> by_name Arch.Arm64 "x0"
   | Arch.X86_64 -> by_name Arch.X86_64 "rax"
 
+(* Resolved once: the runtime reads SP and FP several times per
+   interpreted frame. *)
+let arm64_sp = by_name Arch.Arm64 "sp"
+let x86_64_sp = by_name Arch.X86_64 "rsp"
+let arm64_fp = by_name Arch.Arm64 "x29"
+let x86_64_fp = by_name Arch.X86_64 "rbp"
+
 let stack_pointer = function
-  | Arch.Arm64 -> by_name Arch.Arm64 "sp"
-  | Arch.X86_64 -> by_name Arch.X86_64 "rsp"
+  | Arch.Arm64 -> arm64_sp
+  | Arch.X86_64 -> x86_64_sp
 
 let frame_pointer = function
-  | Arch.Arm64 -> by_name Arch.Arm64 "x29"
-  | Arch.X86_64 -> by_name Arch.X86_64 "rbp"
+  | Arch.Arm64 -> arm64_fp
+  | Arch.X86_64 -> x86_64_fp
 
 let link = function
   | Arch.Arm64 -> Some (by_name Arch.Arm64 "x30")

@@ -33,6 +33,7 @@ val return_value : Arch.t -> t
 
 val stack_pointer : Arch.t -> t
 val frame_pointer : Arch.t -> t
+(** sp / rsp and x29 / rbp: one shared value per ISA, no lookup. *)
 
 val link : Arch.t -> t option
 (** ARM64 keeps the return address in x30; x86-64 pushes it on the stack,

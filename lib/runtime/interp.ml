@@ -1,29 +1,10 @@
+module Plan = Compiler.Plan
+
 exception Stop
-
-(* Deterministic lane values for a local: both ISAs materialize identical
-   values, which is what makes cross-ISA state comparison meaningful.
-   Values are arrays of 64-bit lanes: 1 for scalars, 2 for V128. *)
-let scalar_lane fname vname lane =
-  let s = Printf.sprintf "%s.%s/%d" fname vname lane in
-  let h = ref 0x12345L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001B3L)
-    s;
-  !h
-
-let materialize_lanes fname vname (ty : Ir.Ty.t) =
-  let raw i = scalar_lane fname vname i in
-  match ty with
-  | Ir.Ty.I8 -> [| Int64.logand (raw 0) 0xFFL |]
-  | Ir.Ty.I16 -> [| Int64.logand (raw 0) 0xFFFFL |]
-  | Ir.Ty.I32 | Ir.Ty.F32 -> [| Int64.logand (raw 0) 0xFFFFFFFFL |]
-  | Ir.Ty.I64 | Ir.Ty.F64 | Ir.Ty.Ptr -> [| raw 0 |]
-  | Ir.Ty.V128 -> [| raw 0; raw 1 |]
 
 let set_key st fname key =
   match st.Thread_state.frames with
-  | f :: rest when f.Thread_state.fname = fname ->
+  | f :: rest when String.equal f.Thread_state.fname fname ->
     st.Thread_state.frames <- { f with key } :: rest
   | _ -> failwith "Interp: frame mismatch"
 
@@ -34,8 +15,6 @@ let read_slot_lanes stack ~fp ~off ~lanes =
 let write_slot_lanes stack ~fp ~off value =
   Array.iteri (fun i v -> Stack_mem.write stack (fp - off + (8 * i)) v) value
 
-let reg_lanes (r : Isa.Register.t) = if Isa.Register.is_vector r then 2 else 1
-
 (* The process heap: part of P, identity-mapped across ISAs. Both ISAs
    replay the same deterministic allocation sequence, so every heap
    pointer has the same value on either side of a migration. *)
@@ -43,113 +22,93 @@ let heap_base = 0x10_0000_0000
 let heap_bytes = 4 * 1024 * 1024
 
 type ctx = {
-  tc : Compiler.Toolchain.t;
-  per : Compiler.Toolchain.per_isa;
+  plan : Plan.t;
   st : Thread_state.t;
-  base_of : string -> int;
   heap : Memsys.Heap.t;
-  stop_at : (string * int) option;  (* function, mig point id *)
+  stop : Plan.func option;  (* stop in this function ... *)
+  stop_id : int;  (* ... at this migration point *)
   mutable checks : int;
 }
 
-let rec exec_func ctx fname ~args ~ra ~caller_sp =
-  let arch = ctx.st.Thread_state.arch in
-  let func = Ir.Prog.find_func ctx.tc.Compiler.Toolchain.prog fname in
-  let frame_info = Compiler.Toolchain.frame_of ctx.per fname in
-  let uw = Compiler.Toolchain.unwind_of ctx.per fname in
+let entry_key = (Ir.Liveness.At_call, -1)
+
+let rec exec_func ctx (f : Plan.func) ~args ~ra ~caller_sp =
+  if f.Plan.missing then raise Not_found;
+  let fname = f.Plan.fname in
   let stack = ctx.st.Thread_state.stack in
   let regs = ctx.st.Thread_state.regs in
-  let types = Hashtbl.create 16 in
-  List.iter
-    (fun (v : Ir.Prog.var) -> Hashtbl.replace types v.Ir.Prog.vname v.Ir.Prog.ty)
-    (Ir.Prog.locals func);
-  let ty_of name =
-    match Hashtbl.find_opt types name with Some ty -> ty | None -> Ir.Ty.I64
-  in
   (* Frame record: [fp] = saved caller FP, [fp+8] = return address. *)
   let fp = caller_sp - 16 in
-  let sp = fp + 16 - frame_info.Compiler.Backend.frame_bytes in
+  let sp = fp + 16 - f.Plan.frame_bytes in
   Stack_mem.write stack fp (Int64.of_int (Regfile.get_fp regs));
   Stack_mem.write stack (fp + 8) (Int64.of_int ra);
   (* Prologue: spill the callee-saved registers this function will use
      (GPRs one word, vector registers two). *)
-  List.iter
-    (fun (r, off) ->
-      write_slot_lanes stack ~fp ~off (Regfile.get_lanes regs r (reg_lanes r)))
-    uw.Compiler.Unwind.saved_registers;
+  Array.iter
+    (fun (r, off, lanes) ->
+      write_slot_lanes stack ~fp ~off (Regfile.get_lanes regs r lanes))
+    f.Plan.saves;
   Regfile.set_fp regs fp;
   Regfile.set_sp regs sp;
   ctx.st.Thread_state.frames <-
-    { Thread_state.fname; key = (Ir.Liveness.At_call, -1); fp; sp }
-    :: ctx.st.Thread_state.frames;
-  let write_local name (v : int64 array) =
-    match Compiler.Backend.location_of frame_info name with
-    | Compiler.Backend.In_register r -> Regfile.set_lanes regs r v
-    | Compiler.Backend.In_slot off -> write_slot_lanes stack ~fp ~off v
+    { Thread_state.fname; key = entry_key; fp; sp } :: ctx.st.Thread_state.frames;
+  let write home (v : int64 array) =
+    match home with
+    | Plan.Reg (r, _) -> Regfile.set_lanes regs r v
+    | Plan.Slot (off, _) -> write_slot_lanes stack ~fp ~off v
+    | Plan.Nowhere -> raise Not_found
   in
-  let read_local name =
-    let lanes = Ir.Ty.lanes (ty_of name) in
-    match Compiler.Backend.location_of frame_info name with
-    | Compiler.Backend.In_register r -> Regfile.get_lanes regs r lanes
-    | Compiler.Backend.In_slot off -> read_slot_lanes stack ~fp ~off ~lanes
-  in
-  let local_addr name =
-    match Compiler.Backend.location_of frame_info name with
-    | Compiler.Backend.In_slot off -> fp - off
-    | Compiler.Backend.In_register _ ->
-      failwith
-        (Printf.sprintf "Interp: address taken of register local %s.%s" fname
-           name)
+  let read = function
+    | Plan.Reg (r, lanes) -> Regfile.get_lanes regs r lanes
+    | Plan.Slot (off, lanes) -> read_slot_lanes stack ~fp ~off ~lanes
+    | Plan.Nowhere -> raise Not_found
   in
   (* Parameter passing: arguments arrive in argument registers, the
      prologue moves them to their homes. *)
-  List.iter2
-    (fun (p : Ir.Prog.var) v -> write_local p.Ir.Prog.vname v)
-    func.Ir.Prog.params args;
-  let materialize (v : Ir.Prog.var) =
-    match v.Ir.Prog.init with
-    | Ir.Prog.Scalar -> materialize_lanes fname v.vname v.ty
-    | Ir.Prog.Ptr_to_local target -> [| Int64.of_int (local_addr target) |]
-    | Ir.Prog.Ptr_to_global g -> [| Int64.of_int (ctx.base_of g) |]
-    | Ir.Prog.Ptr_to_heap bytes -> begin
+  let params = f.Plan.params in
+  for i = 0 to min (Array.length args) (Array.length params) - 1 do
+    write params.(i) args.(i)
+  done;
+  if Array.length args <> Array.length params then invalid_arg "List.iter2";
+  let value = function
+    | Plan.Lanes v -> v
+    | Plan.Local_address off -> [| Int64.of_int (fp - off) |]
+    | Plan.Heap bytes -> begin
       match Memsys.Heap.malloc ctx.heap bytes with
       | Some addr -> [| Int64.of_int addr |]
       | None -> failwith (Printf.sprintf "Interp: heap exhausted in %s" fname)
     end
+    | Plan.Raise e -> raise e
   in
-  let rec exec_stmts body = List.iter exec_stmt body
-  and exec_stmt = function
-    | Ir.Prog.Work _ -> ()
-    | Ir.Prog.Def v -> write_local v.Ir.Prog.vname (materialize v)
-    | Ir.Prog.Use x -> ignore (read_local x)
-    | Ir.Prog.Mig_point id ->
+  let rec exec_step = function
+    | Plan.Def (home, v) -> write home (value v)
+    | Plan.Use home -> ignore (read home)
+    | Plan.Mig_point key ->
       ctx.checks <- ctx.checks + 1;
-      set_key ctx.st fname (Ir.Liveness.At_mig_point, id);
+      set_key ctx.st fname key;
       begin
-        match ctx.stop_at with
-        | Some (f, i) when f = fname && i = id -> raise Stop
+        match ctx.stop with
+        | Some s when s == f && ctx.stop_id = snd key -> raise Stop
         | Some _ | None -> ()
       end
-    | Ir.Prog.Call c ->
-      set_key ctx.st fname (Ir.Liveness.At_call, c.site_id);
-      let args = List.map read_local c.args in
+    | Plan.Call { key; args; ra; callee } ->
+      set_key ctx.st fname key;
+      let args = Array.map read args in
       let ra =
-        Ra_encoding.encode arch ~base_of:ctx.base_of ~fname
-          ~key:(Ir.Liveness.At_call, c.site_id)
+        match ra with Plan.Resolved a -> a | Plan.Unresolved -> raise Not_found
       in
-      exec_func ctx c.callee ~args ~ra ~caller_sp:sp;
+      exec_func ctx (Plan.func ctx.plan callee) ~args ~ra ~caller_sp:sp;
       (* Back in this frame: re-establish our SP/FP. *)
       Regfile.set_fp regs fp;
       Regfile.set_sp regs sp
-    | Ir.Prog.Loop l -> exec_stmts l.Ir.Prog.body
+    | Plan.Loop body -> Array.iter exec_step body
   in
-  exec_stmts func.Ir.Prog.body;
+  Array.iter exec_step f.Plan.body;
   (* Epilogue: restore callee-saved registers, pop the frame. *)
-  List.iter
-    (fun (r, off) ->
-      Regfile.set_lanes regs r
-        (read_slot_lanes stack ~fp ~off ~lanes:(reg_lanes r)))
-    uw.Compiler.Unwind.saved_registers;
+  Array.iter
+    (fun (r, off, lanes) ->
+      Regfile.set_lanes regs r (read_slot_lanes stack ~fp ~off ~lanes))
+    f.Plan.saves;
   begin
     match ctx.st.Thread_state.frames with
     | _ :: rest -> ctx.st.Thread_state.frames <- rest
@@ -159,17 +118,25 @@ let rec exec_func ctx fname ~args ~ra ~caller_sp =
 
 let make_ctx tc arch ~stop_at =
   let per = Compiler.Toolchain.for_arch tc arch in
-  let st = Thread_state.create arch in
-  { tc; per; st;
-    base_of = (fun name -> Compiler.Toolchain.symbol_address tc name);
+  let plan = Compiler.Toolchain.plan tc per in
+  let stop, stop_id =
+    match stop_at with
+    | None -> (None, -1)
+    | Some (fname, id) -> begin
+      match Plan.index_of tc.Compiler.Toolchain.prog fname with
+      | i when i < 0 -> (None, -1)
+      | i -> (Some plan.Plan.funcs.(i), id)
+    end
+  in
+  { plan; st = Thread_state.create arch;
     heap = Memsys.Heap.create ~base:heap_base ~bytes:heap_bytes;
-    stop_at; checks = 0 }
+    stop; stop_id; checks = 0 }
 
 let start ctx =
-  let entry = ctx.tc.Compiler.Toolchain.prog.Ir.Prog.entry in
   let top = Stack_mem.hi ctx.st.Thread_state.active in
   Regfile.set_fp ctx.st.Thread_state.regs 0;
-  exec_func ctx entry ~args:[] ~ra:0 ~caller_sp:top
+  exec_func ctx (Plan.func ctx.plan ctx.plan.Plan.entry) ~args:[||] ~ra:0
+    ~caller_sp:top
 
 let state_at tc arch ~fname ~mig_id =
   let ctx = make_ctx tc arch ~stop_at:(Some (fname, mig_id)) in
@@ -180,7 +147,8 @@ let state_at tc arch ~fname ~mig_id =
     let inner = Thread_state.innermost ctx.st in
     Regfile.set_pc ctx.st.Thread_state.regs
       (Int64.of_int
-         (Ra_encoding.encode arch ~base_of:ctx.base_of
+         (Ra_encoding.encode arch
+            ~base_of:(Compiler.Toolchain.symbol_address tc)
             ~fname:inner.Thread_state.fname ~key:inner.Thread_state.key));
     Some ctx.st
 
@@ -205,8 +173,8 @@ let live_values tc st (frame : Thread_state.frame) =
   let per = Compiler.Toolchain.for_arch tc st.Thread_state.arch in
   let entry =
     match
-      Compiler.Stackmap.find per.Compiler.Toolchain.stackmaps
-        ~fname:frame.Thread_state.fname ~key:frame.Thread_state.key
+      Compiler.Toolchain.stackmap_of per ~fname:frame.Thread_state.fname
+        ~key:frame.Thread_state.key
     with
     | Some e -> e
     | None ->

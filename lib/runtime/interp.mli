@@ -10,7 +10,14 @@
     Loops are traversed once: local-variable state after iteration [n]
     equals state after iteration 1 because definitions are deterministic,
     so suspension states are independent of trip counts. Timing is *not*
-    modeled here — the simulator's cost models own that. *)
+    modeled here — the simulator's cost models own that.
+
+    Execution walks the binary's pre-resolved plan ({!Compiler.Plan},
+    via {!Compiler.Toolchain.plan}): no name is looked up per frame.
+    Plans are per binary, built once at compile and dropped with it;
+    there is no global memo to fill or clear. A binary whose metadata
+    was rebuilt after compiling runs on a plan built fresh for the
+    call. *)
 
 val state_at :
   Compiler.Toolchain.t ->

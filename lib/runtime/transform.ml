@@ -34,30 +34,23 @@ let dest_frames per_dst (src_frames : Thread_state.frame list) ~top =
 
 (* src-slot-address -> dst-slot-address for every local that lives in a
    stack slot on both ISAs (address-taken locals always do). *)
-(* First-match lookup table over an association list: deep frames carry
-   long location/live lists, and the transform loop used to rescan them
-   with [List.assoc] per value — quadratic in frame size. *)
-let assoc_table kvs =
-  let tbl = Hashtbl.create (max 16 (List.length kvs)) in
-  List.iter
-    (fun (name, v) -> if not (Hashtbl.mem tbl name) then Hashtbl.add tbl name v)
-    kvs;
-  tbl
-
 let slot_translation per_src per_dst src_frames dst_frames =
   let map = Hashtbl.create 64 in
   List.iter2
     (fun (sf : Thread_state.frame) (df : Thread_state.frame) ->
       let finfo_src = Compiler.Toolchain.frame_of per_src sf.Thread_state.fname in
       let finfo_dst = Compiler.Toolchain.frame_of per_dst df.Thread_state.fname in
-      let dst_locs = assoc_table finfo_dst.Compiler.Backend.locations in
       List.iter
         (fun (name, loc_src) ->
-          match (loc_src, Hashtbl.find_opt dst_locs name) with
-          | Compiler.Backend.In_slot off_s, Some (Compiler.Backend.In_slot off_d) ->
-            Hashtbl.replace map (sf.Thread_state.fp - off_s)
-              (df.Thread_state.fp - off_d)
-          | _, _ -> ())
+          match loc_src with
+          | Compiler.Backend.In_register _ -> ()
+          | Compiler.Backend.In_slot off_s -> begin
+            match Compiler.Backend.location_of finfo_dst name with
+            | Compiler.Backend.In_slot off_d ->
+              Hashtbl.replace map (sf.Thread_state.fp - off_s)
+                (df.Thread_state.fp - off_d)
+            | Compiler.Backend.In_register _ | (exception Not_found) -> ()
+          end)
         finfo_src.Compiler.Backend.locations)
     src_frames dst_frames;
   map
@@ -182,11 +175,11 @@ let transform ?(obs = Obs.noop) tc (src : Thread_state.t) =
     let nframes = Array.length src_arr in
     for idx = 0 to nframes - 1 do
       let sf = src_arr.(idx) and df = dst_arr.(idx) in
-      let live = assoc_table (Interp.live_values tc src sf) in
+      let live = Interp.live_values tc src sf in
       let entry =
         match
-          Compiler.Stackmap.find per_dst.Compiler.Toolchain.stackmaps
-            ~fname:df.Thread_state.fname ~key:df.Thread_state.key
+          Compiler.Toolchain.stackmap_of per_dst ~fname:df.Thread_state.fname
+            ~key:df.Thread_state.key
         with
         | Some e -> e
         | None ->
@@ -198,7 +191,7 @@ let transform ?(obs = Obs.noop) tc (src : Thread_state.t) =
       in
       List.iter
         (fun (name, tl) ->
-          match Hashtbl.find_opt live name with
+          match List.assoc_opt name live with
           | Some v -> place_value ~idx df name tl v
           | None ->
             raise
@@ -277,8 +270,8 @@ let verify tc (src : Thread_state.t) (dst : Thread_state.t) =
         (* Types come from the stackmap; either side works. *)
         let entry =
           match
-            Compiler.Stackmap.find per_src.Compiler.Toolchain.stackmaps
-              ~fname:sf.Thread_state.fname ~key:sf.Thread_state.key
+            Compiler.Toolchain.stackmap_of per_src ~fname:sf.Thread_state.fname
+              ~key:sf.Thread_state.key
           with
           | Some e -> e
           | None -> raise (Bad "missing source stackmap")

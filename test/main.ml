@@ -27,4 +27,5 @@ let () =
       ("analysis", Test_analysis.suite);
       ("audit", Test_audit.suite);
       ("cluster", Test_cluster.suite);
+      ("migrate", Test_migrate.suite);
     ]

@@ -51,6 +51,18 @@ let register_link_asymmetry () =
   checkb "x86 pushes RA on the stack" true
     (Isa.Register.link Isa.Arch.X86_64 = None)
 
+let register_sp_fp_constants () =
+  List.iter
+    (fun (arch, sp, fp) ->
+      let same = Alcotest.testable Isa.Register.pp ( = ) in
+      check same "stack pointer" (Isa.Register.by_name arch sp)
+        (Isa.Register.stack_pointer arch);
+      check same "frame pointer" (Isa.Register.by_name arch fp)
+        (Isa.Register.frame_pointer arch);
+      checkb "one shared stack pointer value" true
+        (Isa.Register.stack_pointer arch == Isa.Register.stack_pointer arch))
+    [ (Isa.Arch.Arm64, "sp", "x29"); (Isa.Arch.X86_64, "rsp", "rbp") ]
+
 let register_by_name () =
   let r = Isa.Register.by_name Isa.Arch.Arm64 "x19" in
   checkb "callee saved" true (Isa.Register.is_callee_saved r);
@@ -152,6 +164,7 @@ let suite =
     ("argument registers per ABI", `Quick, register_argument_conventions);
     ("link register asymmetry", `Quick, register_link_asymmetry);
     ("register lookup by name", `Quick, register_by_name);
+    ("sp/fp constants equal by_name", `Quick, register_sp_fp_constants);
     ("callee/caller-saved disjoint", `Quick, register_sets_disjoint);
     ("abi constants", `Quick, abi_basics);
     ("abi frame sizes aligned and sufficient", `Quick, abi_frame_size_aligned);
