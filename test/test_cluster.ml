@@ -14,65 +14,69 @@ let topology ~nodes ~racks ~mix_name =
 
 (* --- golden reports ------------------------------------------------------ *)
 
-type golden = {
+type 'cfg golden = {
   nodes : int;
   racks : int;
   mix : string;
-  cfg : Sched.Cluster.config;
+  cfg : 'cfg;
   label : string;
   report : string;
 }
 
-(* test/cluster_golden.txt: "#" comment lines, then cases, each a
-   "=== key=value ..." header followed by its report verbatim. *)
+(* A golden file: "#" comment lines, then cases, each a
+   "=== key=value ..." header followed by its report verbatim. [case]
+   parses one header and its body lines. *)
+let read_golden file case =
+  let ic = open_in file in
+  let lines =
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () ->
+        let acc = ref [] in
+        (try
+           while true do
+             acc := input_line ic :: !acc
+           done
+         with End_of_file -> ());
+        List.rev !acc)
+  in
+  let rec split acc = function
+    | [] -> List.rev acc
+    | header :: rest when String.starts_with ~prefix:"=== " header ->
+      let rec body b = function
+        | l :: rest when not (String.starts_with ~prefix:"=== " l) ->
+          body (l :: b) rest
+        | rest -> (List.rev b, rest)
+      in
+      let b, rest = body [] rest in
+      split (case header b :: acc) rest
+    | _ :: rest -> split acc rest
+  in
+  split [] lines
+
+let report_of body = String.concat "" (List.map (fun l -> l ^ "\n") body)
+
+(* test/cluster_golden.txt *)
 let golden_cases =
   lazy
-    (let ic = open_in "cluster_golden.txt" in
-     let lines =
-       Fun.protect
-         ~finally:(fun () -> close_in ic)
-         (fun () ->
-           let acc = ref [] in
-           (try
-              while true do
-                acc := input_line ic :: !acc
-              done
-            with End_of_file -> ());
-           List.rev !acc)
-     in
-     let case header body =
-       Scanf.sscanf header
-         "=== nodes=%d racks=%d mix=%s jobs=%d seed=%d policy=%s cap=%s \
-          label=%s"
-         (fun nodes racks mix jobs seed policy cap label ->
-           let topology = topology ~nodes ~racks ~mix_name:mix in
-           let policy =
-             match Sched.Cluster.policy_of_name policy with
-             | Some p -> p
-             | None -> Alcotest.fail ("golden: unknown policy " ^ policy)
-           in
-           let cfg =
-             { (Sched.Cluster.default ~topology ~jobs ~seed) with
-               Sched.Cluster.policy;
-               power_cap_w = float_of_string cap;
-             }
-           in
-           let report = String.concat "" (List.map (fun l -> l ^ "\n") body) in
-           { nodes; racks; mix; cfg; label; report })
-     in
-     let rec split acc = function
-       | [] -> List.rev acc
-       | header :: rest when String.starts_with ~prefix:"=== " header ->
-         let rec body b = function
-           | l :: rest when not (String.starts_with ~prefix:"=== " l) ->
-             body (l :: b) rest
-           | rest -> (List.rev b, rest)
-         in
-         let b, rest = body [] rest in
-         split (case header b :: acc) rest
-       | _ :: rest -> split acc rest
-     in
-     split [] lines)
+    (read_golden "cluster_golden.txt" (fun header body ->
+         Scanf.sscanf header
+           "=== nodes=%d racks=%d mix=%s jobs=%d seed=%d policy=%s cap=%s \
+            label=%s"
+           (fun nodes racks mix jobs seed policy cap label ->
+             let topology = topology ~nodes ~racks ~mix_name:mix in
+             let policy =
+               match Sched.Cluster.policy_of_name policy with
+               | Some p -> p
+               | None -> Alcotest.fail ("golden: unknown policy " ^ policy)
+             in
+             let cfg =
+               { (Sched.Cluster.default ~topology ~jobs ~seed) with
+                 Sched.Cluster.policy;
+                 power_cap_w = float_of_string cap;
+               }
+             in
+             { nodes; racks; mix; cfg; label; report = report_of body })))
 
 let golden_topology ~nodes ~racks ~mix () =
   let cases =
@@ -98,6 +102,62 @@ let golden_topology ~nodes ~racks ~mix () =
           (r.peak_power_w = g.cfg.power_cap_w)
       | _ -> ())
     cases
+
+(* test/fleet_golden.txt: `hetmig fleet` reports captured while
+   Sched.Fleet still ran its own simulator, over seeds x placement x
+   migration x fail-rate on three small topologies, plus the CI fleet
+   scenarios. Each case runs once; the tests below share the runs. *)
+let fleet_runs =
+  lazy
+    (List.map
+       (fun g -> (g, Sched.Fleet.run ~domains:1 g.cfg))
+       (read_golden "fleet_golden.txt" (fun header body ->
+            Scanf.sscanf header
+              "=== nodes=%d racks=%d mix=%s jobs=%d seed=%d placement=%s \
+               migration=%s fail-rate=%f"
+              (fun nodes racks mix jobs seed placement migration fail_rate ->
+                let placement =
+                  match placement with
+                  | "ll" -> Sched.Fleet.Least_loaded
+                  | "rr" -> Sched.Fleet.Round_robin
+                  | p -> Alcotest.fail ("golden: unknown placement " ^ p)
+                in
+                let cfg =
+                  { (Sched.Fleet.default ~nodes ~jobs ~seed) with
+                    Sched.Fleet.placement;
+                    migration = migration = "on";
+                    fail_rate;
+                    topology = topology ~nodes ~racks ~mix_name:mix;
+                  }
+                in
+                let label =
+                  Printf.sprintf "%s seed=%d migration=%s fail-rate=%g"
+                    (Sched.Fleet.placement_name placement) seed migration
+                    fail_rate
+                in
+                { nodes; racks; mix; cfg; label; report = report_of body }))))
+
+let fleet_golden ~nodes ~racks ~mix ~cases () =
+  let runs =
+    List.filter
+      (fun (g, _) -> g.nodes = nodes && g.racks = racks && g.mix = mix)
+      (Lazy.force fleet_runs)
+  in
+  check Alcotest.int "cases for this topology" cases (List.length runs);
+  List.iter
+    (fun (g, r) ->
+      checks (g.label ^ ": report byte-identical") g.report
+        (Sched.Fleet.render g.cfg r))
+    runs
+
+(* The goldens pin the failure/retry path and the balancing migration
+   only if some case actually takes them. *)
+let fleet_golden_not_vacuous () =
+  let runs = List.map snd (Lazy.force fleet_runs) in
+  let some what f = checkb ("some case has " ^ what) true (List.exists f runs) in
+  some "failed > 0" (fun r -> r.Sched.Fleet.failed > 0);
+  some "retried_phases > 0" (fun r -> r.Sched.Fleet.retried_phases > 0);
+  some "migrations > 0" (fun r -> r.Sched.Fleet.migrations > 0)
 
 (* --- admission exactness ------------------------------------------------- *)
 
@@ -261,6 +321,20 @@ let suite =
       (golden_topology ~nodes:64 ~racks:4 ~mix:"alternate");
     Alcotest.test_case "golden: 8x32 isa-racks" `Quick
       (golden_topology ~nodes:256 ~racks:8 ~mix:"isa-racks");
+    (* 3 seeds x placement x migration x fail-rate, plus one fail-rate
+       0.3 case each *)
+    Alcotest.test_case "fleet golden: flat 8 nodes" `Quick
+      (fleet_golden ~nodes:8 ~racks:1 ~mix:"alternate" ~cases:25);
+    Alcotest.test_case "fleet golden: 4x4 alternate" `Quick
+      (fleet_golden ~nodes:16 ~racks:4 ~mix:"alternate" ~cases:25);
+    Alcotest.test_case "fleet golden: 2x8 isa-racks" `Quick
+      (fleet_golden ~nodes:16 ~racks:2 ~mix:"isa-racks" ~cases:25);
+    Alcotest.test_case "fleet golden: CI flat 64 nodes" `Quick
+      (fleet_golden ~nodes:64 ~racks:1 ~mix:"alternate" ~cases:2);
+    Alcotest.test_case "fleet golden: CI 4x16 alternate" `Quick
+      (fleet_golden ~nodes:64 ~racks:4 ~mix:"alternate" ~cases:1);
+    Alcotest.test_case "fleet golden: not vacuous" `Quick
+      fleet_golden_not_vacuous;
     QCheck_alcotest.to_alcotest qcheck_admission_exact;
     Alcotest.test_case "power cap floor bounds pack-power-cap" `Quick
       power_cap_floor;
