@@ -291,27 +291,42 @@ let read_baseline path =
   close_in ic;
   List.rev !entries
 
+(* The baseline rows for the [wanted] experiments, read before any of
+   them runs. A baseline with no rows, or without a row for one of
+   them, is a usage error (exit 2): skipping it would switch the gate
+   off without a word. *)
+let baseline_rows path wanted =
+  let rows = read_baseline path in
+  if rows = [] then begin
+    Format.eprintf "--compare: %s has no parsable baseline rows@." path;
+    exit 2
+  end;
+  List.map
+    (fun name ->
+      match List.assoc_opt name rows with
+      | Some wall_s -> (name, wall_s)
+      | None ->
+        Format.eprintf "--compare: %s has no baseline row for experiment %s@."
+          path name;
+        exit 2)
+    wanted
+
 (* An experiment more than 25% slower than its baseline entry (plus a
    small absolute slack, so sub-second experiments don't flake on host
    scheduler noise) fails the gate. *)
-let compare_against ppf ~baseline experiment_times =
-  let base = read_baseline baseline in
+let compare_against ppf ~baseline ~rows experiment_times =
   let rel = 1.25 and slack = 0.5 in
   let regressions = ref 0 in
   Format.fprintf ppf "@.= wall-time regression gate (vs %s) =@." baseline;
   List.iter
     (fun (name, wall_s) ->
-      match List.assoc_opt name base with
-      | None ->
-        Format.fprintf ppf "  %-10s %8.2fs (no baseline entry, skipped)@." name
-          wall_s
-      | Some b ->
-        let limit = (b *. rel) +. slack in
-        let ok = wall_s <= limit in
-        if not ok then incr regressions;
-        Format.fprintf ppf "  %-10s %8.2fs vs baseline %.2fs (limit %.2fs)  %s@."
-          name wall_s b limit
-          (if ok then "ok" else "REGRESSION"))
+      let b = List.assoc name rows in
+      let limit = (b *. rel) +. slack in
+      let ok = wall_s <= limit in
+      if not ok then incr regressions;
+      Format.fprintf ppf "  %-10s %8.2fs vs baseline %.2fs (limit %.2fs)  %s@."
+        name wall_s b limit
+        (if ok then "ok" else "REGRESSION"))
     experiment_times;
   !regressions
 
@@ -380,6 +395,12 @@ let () =
     usage ppf;
     exit 2
   end;
+  let baseline =
+    Option.map
+      (fun path ->
+        (path, baseline_rows path (List.map (fun (n, _, _) -> n) selected)))
+      !compare_path
+  in
   let experiment_times =
     List.map
       (fun (name, _, run) ->
@@ -414,8 +435,8 @@ let () =
     Format.fprintf ppf "(results written to %s)@." path
   | None -> ());
   let regressions =
-    match !compare_path with
-    | Some baseline -> compare_against ppf ~baseline experiment_times
+    match baseline with
+    | Some (baseline, rows) -> compare_against ppf ~baseline ~rows experiment_times
     | None -> 0
   in
   let failures = Experiments.Shape.failures () in

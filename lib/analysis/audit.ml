@@ -3,7 +3,7 @@
    schedule verifier, the island race detector, and the determinism
    certifier.
 
-   Per scenario (fleet, serve):
+   Per island scenario (fleet, cluster, serve):
 
      - base: the scenario runs audited at domains=1 and domains=N; the
        d=1 capture is schedule-verified and race-checked, and the two
@@ -105,111 +105,52 @@ let run ?rules:ids ?(scenarios = all_scenarios) ?(domains = 4) ?jobs
   let wants_det = wants_prefix ids "det-" in
   let dn_label = Printf.sprintf "domains=%d" domains in
   (* Each task returns (diagnostics, labeled header-stripped renders);
-     the renders feed the post-pool sensitivity checks. *)
-  let fleet_base () =
-    let label = "fleet" in
-    let r1, cap1 = Sched.Fleet.run_audited ~domains:1 fleet in
-    let rn, capn = Sched.Fleet.run_audited ~domains fleet in
-    let render1 = Sched.Fleet.render fleet r1 in
-    let rendern = Sched.Fleet.render fleet rn in
-    let obs1 =
-      { Det.r_label = "domains=1"; r_render = render1; r_capture = Some cap1 }
+     the renders feed the post-pool sensitivity checks. An island
+     scenario's tasks are its audited base pair, then plain seed+1 and
+     epoch*2 variants certified on renders. *)
+  let island_tasks ~label ~(run_audited : ?domains:int -> _ -> _ * _)
+      ~(run : ?domains:int -> _ -> _) ~render ~seed ~epoch cfg =
+    let base () =
+      let r1, cap1 = run_audited ~domains:1 cfg in
+      let rn, capn = run_audited ~domains cfg in
+      let render1 = render cfg r1 in
+      let obs1 =
+        { Det.r_label = "domains=1"; r_render = render1; r_capture = Some cap1 }
+      in
+      let obsn =
+        {
+          Det.r_label = dn_label;
+          r_render = render cfg rn;
+          r_capture = Some capn;
+        }
+      in
+      let diags =
+        (if wants_cap then
+           Islands_check.check ~label cap1 @ Island_race.check ~label cap1
+         else [])
+        @
+        if wants_det then Det.certify ~label ~reference:obs1 ~candidate:obsn
+        else []
+      in
+      (diags, [ (label ^ ":base", body render1) ])
     in
-    let obsn =
-      { Det.r_label = dn_label; r_render = rendern; r_capture = Some capn }
+    let variant ~tag cfg () =
+      let render1 = render cfg (run ~domains:1 cfg) in
+      let rendern = render cfg (run ~domains cfg) in
+      let diags =
+        Det.certify ~label
+          ~reference:
+            { Det.r_label = "domains=1"; r_render = render1; r_capture = None }
+          ~candidate:
+            { Det.r_label = dn_label; r_render = rendern; r_capture = None }
+      in
+      (diags, [ (label ^ ":" ^ tag, body render1) ])
     in
-    let diags =
-      (if wants_cap then
-         Islands_check.check ~label cap1 @ Island_race.check ~label cap1
-       else [])
-      @
-      if wants_det then Det.certify ~label ~reference:obs1 ~candidate:obsn
-      else []
-    in
-    (diags, [ ("fleet:base", body render1) ])
-  in
-  let fleet_variant ~tag cfg () =
-    let label = "fleet" in
-    let render1 = Sched.Fleet.render cfg (Sched.Fleet.run ~domains:1 cfg) in
-    let rendern = Sched.Fleet.render cfg (Sched.Fleet.run ~domains cfg) in
-    let diags =
-      Det.certify ~label
-        ~reference:
-          { Det.r_label = "domains=1"; r_render = render1; r_capture = None }
-        ~candidate:
-          { Det.r_label = dn_label; r_render = rendern; r_capture = None }
-    in
-    (diags, [ (tag, body render1) ])
-  in
-  let cluster_base () =
-    let label = "cluster" in
-    let r1, cap1 = Sched.Cluster.run_audited ~domains:1 cluster in
-    let rn, capn = Sched.Cluster.run_audited ~domains cluster in
-    let render1 = Sched.Cluster.render cluster r1 in
-    let rendern = Sched.Cluster.render cluster rn in
-    let obs1 =
-      { Det.r_label = "domains=1"; r_render = render1; r_capture = Some cap1 }
-    in
-    let obsn =
-      { Det.r_label = dn_label; r_render = rendern; r_capture = Some capn }
-    in
-    let diags =
-      (if wants_cap then
-         Islands_check.check ~label cap1 @ Island_race.check ~label cap1
-       else [])
-      @
-      if wants_det then Det.certify ~label ~reference:obs1 ~candidate:obsn
-      else []
-    in
-    (diags, [ ("cluster:base", body render1) ])
-  in
-  let cluster_variant ~tag cfg () =
-    let label = "cluster" in
-    let render1 = Sched.Cluster.render cfg (Sched.Cluster.run ~domains:1 cfg) in
-    let rendern = Sched.Cluster.render cfg (Sched.Cluster.run ~domains cfg) in
-    let diags =
-      Det.certify ~label
-        ~reference:
-          { Det.r_label = "domains=1"; r_render = render1; r_capture = None }
-        ~candidate:
-          { Det.r_label = dn_label; r_render = rendern; r_capture = None }
-    in
-    (diags, [ (tag, body render1) ])
-  in
-  let serve_base () =
-    let label = "serve" in
-    let r1, cap1 = Sched.Service.run_audited ~domains:1 serve in
-    let rn, capn = Sched.Service.run_audited ~domains serve in
-    let render1 = Sched.Service.render serve r1 in
-    let rendern = Sched.Service.render serve rn in
-    let obs1 =
-      { Det.r_label = "domains=1"; r_render = render1; r_capture = Some cap1 }
-    in
-    let obsn =
-      { Det.r_label = dn_label; r_render = rendern; r_capture = Some capn }
-    in
-    let diags =
-      (if wants_cap then
-         Islands_check.check ~label cap1 @ Island_race.check ~label cap1
-       else [])
-      @
-      if wants_det then Det.certify ~label ~reference:obs1 ~candidate:obsn
-      else []
-    in
-    (diags, [ ("serve:base", body render1) ])
-  in
-  let serve_variant ~tag cfg () =
-    let label = "serve" in
-    let render1 = Sched.Service.render cfg (Sched.Service.run ~domains:1 cfg) in
-    let rendern = Sched.Service.render cfg (Sched.Service.run ~domains cfg) in
-    let diags =
-      Det.certify ~label
-        ~reference:
-          { Det.r_label = "domains=1"; r_render = render1; r_capture = None }
-        ~candidate:
-          { Det.r_label = dn_label; r_render = rendern; r_capture = None }
-    in
-    (diags, [ (tag, body render1) ])
+    (if wants_cap || wants_det then [ base ] else [])
+    @
+    if wants_det then
+      [ variant ~tag:"seed" (seed cfg); variant ~tag:"epoch" (epoch cfg) ]
+    else []
   in
   let sched_render r = Format.asprintf "%a" Sched.Scheduler.pp_result r in
   let sched_base () =
@@ -241,54 +182,31 @@ let run ?rules:ids ?(scenarios = all_scenarios) ?(domains = 4) ?jobs
       (fun scenario ->
         match scenario with
         | Fleet ->
-            (if wants_cap || wants_det then [ fleet_base ] else [])
-            @
-            if wants_det then
-              [
-                fleet_variant ~tag:"fleet:seed"
-                  { fleet with Sched.Fleet.seed = fleet.Sched.Fleet.seed + 1 };
-                fleet_variant ~tag:"fleet:epoch"
-                  {
-                    fleet with
-                    Sched.Fleet.epoch_s = fleet.Sched.Fleet.epoch_s *. 2.0;
-                  };
-              ]
-            else []
+            island_tasks ~label:"fleet" ~run_audited:Sched.Fleet.run_audited
+              ~run:Sched.Fleet.run ~render:Sched.Fleet.render
+              ~seed:(fun c -> { c with Sched.Fleet.seed = c.Sched.Fleet.seed + 1 })
+              ~epoch:(fun c ->
+                { c with Sched.Fleet.epoch_s = c.Sched.Fleet.epoch_s *. 2.0 })
+              fleet
         | Cluster ->
-            (if wants_cap || wants_det then [ cluster_base ] else [])
-            @
-            if wants_det then
-              [
-                cluster_variant ~tag:"cluster:seed"
-                  {
-                    cluster with
-                    Sched.Cluster.seed = cluster.Sched.Cluster.seed + 1;
-                  };
-                cluster_variant ~tag:"cluster:epoch"
-                  {
-                    cluster with
-                    Sched.Cluster.epoch_s =
-                      cluster.Sched.Cluster.epoch_s *. 2.0;
-                  };
-              ]
-            else []
+            island_tasks ~label:"cluster"
+              ~run_audited:Sched.Cluster.run_audited ~run:Sched.Cluster.run
+              ~render:Sched.Cluster.render
+              ~seed:(fun c ->
+                { c with Sched.Cluster.seed = c.Sched.Cluster.seed + 1 })
+              ~epoch:(fun c ->
+                { c with Sched.Cluster.epoch_s = c.Sched.Cluster.epoch_s *. 2.0 })
+              cluster
         | Serve ->
-            (if wants_cap || wants_det then [ serve_base ] else [])
-            @
-            if wants_det then
-              [
-                serve_variant ~tag:"serve:seed"
-                  {
-                    serve with
-                    Sched.Service.seed = serve.Sched.Service.seed + 1;
-                  };
-                serve_variant ~tag:"serve:epoch"
-                  {
-                    serve with
-                    Sched.Service.epoch_s = serve.Sched.Service.epoch_s *. 2.0;
-                  };
-              ]
-            else []
+            island_tasks ~label:"serve"
+              ~run_audited:(fun ?domains c -> Sched.Service.run_audited ?domains c)
+              ~run:(fun ?domains c -> Sched.Service.run ?domains c)
+              ~render:Sched.Service.render
+              ~seed:(fun c ->
+                { c with Sched.Service.seed = c.Sched.Service.seed + 1 })
+              ~epoch:(fun c ->
+                { c with Sched.Service.epoch_s = c.Sched.Service.epoch_s *. 2.0 })
+              serve
         | Scheduler ->
             if wants_det then [ sched_base; sched_seed ] else [])
       scenarios
@@ -317,15 +235,9 @@ let run ?rules:ids ?(scenarios = all_scenarios) ?(domains = 4) ?jobs
             | _ -> []
           in
           match scenario with
-          | Fleet ->
-              probe ~variant:"fleet:seed" ~vlabel:"seed+1"
-              @ probe ~variant:"fleet:epoch" ~vlabel:"epoch*2"
-          | Cluster ->
-              probe ~variant:"cluster:seed" ~vlabel:"seed+1"
-              @ probe ~variant:"cluster:epoch" ~vlabel:"epoch*2"
-          | Serve ->
-              probe ~variant:"serve:seed" ~vlabel:"seed+1"
-              @ probe ~variant:"serve:epoch" ~vlabel:"epoch*2"
+          | Fleet | Cluster | Serve ->
+              probe ~variant:(name ^ ":seed") ~vlabel:"seed+1"
+              @ probe ~variant:(name ^ ":epoch") ~vlabel:"epoch*2"
           | Scheduler -> probe ~variant:"scheduler:seed" ~vlabel:"seed+1")
         scenarios
   in

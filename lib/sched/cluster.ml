@@ -1,10 +1,10 @@
-(* Global cluster scheduling over a `Machine.Topology`: policies that
-   choose *which node* as well as *which ISA*, at warehouse scale.
+(* The warehouse simulator: jobs scheduled over a `Machine.Topology`
+   by policies that choose *which node* as well as *which ISA*. Both
+   `hetmig cluster` and `hetmig fleet` run it; `Sched.Fleet` is only a
+   preset of this model.
 
    The paper's scheduling study (Section 6) and `Sched.Scheduler` pick
-   between exactly two machines; `Sched.Fleet` scales the node count but
-   keeps one placement heuristic. This layer runs the fleet machinery
-   under genuinely global policies:
+   between exactly two machines. The policies here are global:
 
      - [Pack_power_cap]: power-capped bin packing. Jobs are packed onto
        the fewest, fullest nodes whose projected cluster power stays
@@ -19,22 +19,41 @@
      - [Work_steal]: cheap local placement (round robin) plus idle
        nodes stealing queued work from the most-loaded victim, nearest
        rack first — migration cost makes in-rack theft strictly better.
+     - [Balance]: the fleet preset ("Instruction Set Migration at
+       Warehouse Scale"). Least-loaded or round-robin placement and,
+       when enabled, one migration per epoch from the most to the least
+       loaded node.
 
-   Runtime shape is the fleet's: island 0 is the scheduler at the
-   cluster head, islands 1..N the topology's nodes, all control traffic
-   batched per [epoch_s] and carried over its path through the rack
-   fabric, so the per-edge minimum delay (epoch + path latency) is the
-   runtime's topology-aware lookahead matrix. Every node island owns
-   its state outright; the scheduler owns the queue and its estimates.
-   The report is a pure function of the config: domain count never
-   changes a byte. *)
+   Any policy may run with a per-phase failure rate: a failed phase
+   retries up to a budget, then the job fails.
 
-type policy = Pack_power_cap | Edp_migrate | Work_steal
+   Island 0 is the scheduler at the cluster head, islands 1..N the
+   topology's nodes, all control traffic batched per [epoch_s] and
+   carried over its path through the rack fabric, so the per-edge
+   minimum delay (epoch + path latency) is the runtime's topology-aware
+   lookahead matrix. Every node island owns its state outright — running
+   set, busy cores, energy integral, PRNG stream for phase locality and
+   failure draws; the scheduler owns the queue and its load estimates,
+   updated only by messages. The report is a pure function of the
+   config: domain count never changes a byte. *)
+
+type placement = Least_loaded | Round_robin
+
+let placement_name = function
+  | Least_loaded -> "least-loaded"
+  | Round_robin -> "round-robin"
+
+type policy =
+  | Pack_power_cap
+  | Edp_migrate
+  | Work_steal
+  | Balance of { placement : placement; migration : bool }
 
 let policy_name = function
   | Pack_power_cap -> "pack-power-cap"
   | Edp_migrate -> "edp-migrate"
   | Work_steal -> "work-steal"
+  | Balance { placement; _ } -> placement_name placement
 
 let policy_of_name = function
   | "pack-power-cap" | "pack" -> Some Pack_power_cap
@@ -53,7 +72,7 @@ type config = {
   policy : policy;
   power_cap_w : float;
       (** [Pack_power_cap]: projected cluster power admission budget *)
-  quantum_instructions : float;
+  fail_rate : float;  (** per-phase failure probability *)
 }
 
 let default ~topology ~jobs ~seed =
@@ -70,11 +89,13 @@ let default ~topology ~jobs ~seed =
        admission: about half the fleet busy. *)
     power_cap_w =
       0.75 *. 110.0 *. float_of_int (Machine.Topology.nodes topology);
-    quantum_instructions = 1e8;
+    fail_rate = 0.0;
   }
 
 type result = {
   completed : int;
+  failed : int;
+  retried_phases : int;
   migrations : int;
   steals : int;
   deferred : int;  (** admissions blocked at least once by the power cap *)
@@ -90,7 +111,7 @@ type result = {
   windows : int;
 }
 
-(* --- job mix: the fleet's pool, ISA-affinity visible ------------------- *)
+(* --- job mix: ISA affinity visible ------------------------------------- *)
 
 let job_pool =
   let open Workload.Spec in
@@ -111,7 +132,11 @@ type job = {
   phase_instr : float;
 }
 
-let make_job cfg rng jid arrival =
+(* Phase length: the instructions a thread runs between migration
+   points. *)
+let quantum_instructions = 1e8
+
+let make_job rng jid arrival =
   let bench, cls = Sim.Prng.choice rng job_pool in
   let spec = Workload.Spec.spec bench cls in
   let threads = Sim.Prng.choice rng thread_counts in
@@ -119,7 +144,7 @@ let make_job cfg rng jid arrival =
     spec.Workload.Spec.total_instructions /. float_of_int threads
   in
   let n_phases =
-    max 1 (int_of_float (Float.ceil (per_thread /. cfg.quantum_instructions)))
+    max 1 (int_of_float (Float.ceil (per_thread /. quantum_instructions)))
   in
   { jid; arrival; threads; spec; n_phases;
     phase_instr = per_thread /. float_of_int n_phases }
@@ -129,10 +154,13 @@ let make_job cfg rng jid arrival =
 type running = {
   job : job;
   mutable remaining : int;
-  mutable cold : bool;
-  mutable src_node : int;  (** -1 = the head's job store *)
-  mutable pending_dst : int;  (** -1 = none; else move there at boundary *)
-  mutable pending_steal : bool;  (** the pending move is a theft *)
+  mutable cold : bool;  (** working set not yet resident: next phase faults *)
+  mutable src_node : int;
+      (** where a cold set streams from: -1 = the head's job store, else
+          the node the job migrated away from *)
+  mutable pending : (int * bool) option;
+      (** (dst, is a theft): move there at the next phase boundary *)
+  mutable phase_retries : int;  (** failures of the current phase *)
 }
 
 type node_state = {
@@ -144,6 +172,7 @@ type node_state = {
   mutable running : running list;
   mutable migrations_out : int;
   mutable steals_in : int;
+  mutable retried : int;
 }
 
 type sched_state = {
@@ -152,7 +181,8 @@ type sched_state = {
   cores : int array;
   mutable outstanding : int;
   mutable rr : int;
-  mutable completions : (int * float) list;
+  mutable completions : (int * float) list;  (** (jid, latency), report order *)
+  mutable failed : int;
   mutable deferred : int;
   mutable peak_power_w : float;
 }
@@ -173,13 +203,22 @@ let adjust_busy ns ~now delta =
   settle ns ~now;
   ns.busy <- ns.busy + delta
 
+(* Remote page fault served by the hDSM protocol: handler software on
+   top of a round trip over the given path, as in `Dsm.Hdsm`. Warm
+   misses hit the nearest replica (one local hop); cold working sets
+   stream from wherever the job last lived, so fault cost is
+   path-dependent. *)
 let fault_handler_s = 50e-6
 
 let fault_cost_over link =
   fault_handler_s
   +. Machine.Topology.page_transfer_time_link link ~page_bytes:Memsys.Page.size
 
+(* Pages a phase touches; a cold (just-placed or just-migrated) working
+   set faults on all of them. *)
 let phase_pages = 16
+
+let max_phase_retries = 3
 
 (* Throughput-per-watt of a machine for a workload category at full
    tilt: the ISA-affinity score both energy-aware policies rank by. *)
@@ -287,6 +326,10 @@ let run_impl ?(domains = 1) ~capture cfg =
          (Printf.sprintf
             "Cluster.run: power cap %gW is below the minimum admissible %gW"
             cfg.power_cap_w floor_w));
+  (* Per-edge control delays: the batching epoch plus the path latency,
+     to and from the head or between nodes. The same values form the
+     runtime's lookahead matrix, so a post below its edge's floor is a
+     runtime error. *)
   let ctrl_delay =
     Array.init n_nodes (fun i ->
         cfg.epoch_s
@@ -308,14 +351,14 @@ let run_impl ?(domains = 1) ~capture cfg =
     Sim.Islands.create ~capture ~edge_lookahead ~islands:(n_nodes + 1)
       ~lookahead:cfg.epoch_s ~seed:cfg.seed ()
   in
-  (* Ownership map for the island-race audit, the fleet's: scheduler
-     island 0 owns resource 0; node island i+1 owns resource i+1. *)
-  let audit = capture in
+  (* Ownership map for the island-race audit: scheduler island 0 owns
+     resource 0; node island i+1 owns resource i+1. Guarded by the local
+     immutable [capture] so plain runs pay nothing. *)
   let touch_sched isl =
-    if audit then Sim.Islands.touch isl ~owner:0 ~resource:0 ~write:true
+    if capture then Sim.Islands.touch isl ~owner:0 ~resource:0 ~write:true
   in
   let touch_node isl ns =
-    if audit then
+    if capture then
       Sim.Islands.touch isl ~owner:(ns.node_id + 1) ~resource:(ns.node_id + 1)
         ~write:true
   in
@@ -330,6 +373,7 @@ let run_impl ?(domains = 1) ~capture cfg =
           running = [];
           migrations_out = 0;
           steals_in = 0;
+          retried = 0;
         })
   in
   let sched =
@@ -340,6 +384,7 @@ let run_impl ?(domains = 1) ~capture cfg =
       outstanding = cfg.jobs;
       rr = 0;
       completions = [];
+      failed = 0;
       deferred = 0;
       peak_power_w = 0.0;
     }
@@ -352,16 +397,33 @@ let run_impl ?(domains = 1) ~capture cfg =
       fault_cost_over
         (Machine.Topology.path topo ~src:r.src_node ~dst:ns.node_id)
   in
+  (* Job arrivals: drawn up-front from the run seed (independent of any
+     island stream), Poisson-spaced. *)
   let arrivals =
     let rng = Sim.Prng.create cfg.seed in
     let t = ref 0.0 in
-    List.init cfg.jobs (fun jid ->
-        let job = make_job cfg rng jid !t in
+    Array.init cfg.jobs (fun jid ->
+        let job = make_job rng jid !t in
         t := !t +. Sim.Prng.exponential rng ~mean:cfg.mean_interarrival_s;
         job)
   in
 
   (* --- node islands (island id = node_id + 1) -------------------------- *)
+  let leave (r : running) ns ~now =
+    adjust_busy ns ~now (-r.job.threads);
+    ns.running <- List.filter (fun x -> x != r) ns.running
+  in
+  (* The job leaves its node for good; the head learns at the next epoch
+     and then runs [report]. *)
+  let retire (r : running) ns isl ~now report =
+    leave r ns ~now;
+    Sim.Islands.post isl ~dst:0 ~after:ctrl_delay.(ns.node_id) (fun isl ->
+        touch_sched isl;
+        sched.outstanding <- sched.outstanding - 1;
+        sched.est_load.(ns.node_id) <-
+          sched.est_load.(ns.node_id) - r.job.threads;
+        report ())
+  in
   let rec run_phase (r : running) ns isl =
     touch_node isl ns;
     let now = Sim.Islands.now isl in
@@ -374,6 +436,9 @@ let run_impl ?(domains = 1) ~capture cfg =
       Float.max 1.0
         (float_of_int ns.busy /. float_of_int m.Machine.Server.cores)
     in
+    (* Phase-locality sampling from the island's private stream: a cold
+       working set faults on every page of the phase window; a warm one
+       occasionally takes a small burst of misses. *)
     let misses, miss_cost =
       if r.cold then (phase_pages, cold_fault_cost r ns)
       else begin
@@ -392,48 +457,59 @@ let run_impl ?(domains = 1) ~capture cfg =
   and phase_done (r : running) ns isl =
     touch_node isl ns;
     let now = Sim.Islands.now isl in
-    r.remaining <- r.remaining - 1;
-    if r.remaining = 0 then begin
-      adjust_busy ns ~now (-r.job.threads);
-      ns.running <- List.filter (fun x -> x != r) ns.running;
-      let latency = now -. r.job.arrival in
-      Sim.Islands.post isl ~dst:0 ~after:ctrl_delay.(ns.node_id) (fun isl ->
-          touch_sched isl;
-          sched.outstanding <- sched.outstanding - 1;
-          sched.est_load.(ns.node_id) <-
-            sched.est_load.(ns.node_id) - r.job.threads;
-          sched.completions <- (r.job.jid, latency) :: sched.completions)
+    (* Failure draw only when phases can fail: a zero-rate run draws the
+       same PRNG stream as one with no failure machinery at all. *)
+    if
+      cfg.fail_rate > 0.0
+      && Sim.Prng.float (Sim.Islands.prng isl) 1.0 < cfg.fail_rate
+    then begin
+      if r.phase_retries >= max_phase_retries then
+        retire r ns isl ~now (fun () -> sched.failed <- sched.failed + 1)
+      else begin
+        r.phase_retries <- r.phase_retries + 1;
+        ns.retried <- ns.retried + 1;
+        run_phase r ns isl
+      end
     end
-    else if r.pending_dst >= 0 then begin
-      (* Stop-and-copy to the commanded node over the rack fabric. *)
-      let dst = r.pending_dst in
-      let steal = r.pending_steal in
-      r.pending_dst <- -1;
-      r.pending_steal <- false;
-      adjust_busy ns ~now (-r.job.threads);
-      ns.running <- List.filter (fun x -> x != r) ns.running;
-      ns.migrations_out <- ns.migrations_out + 1;
-      let transform = 300e-6 *. float_of_int r.job.threads in
-      let pages =
-        Memsys.Page.count ~bytes:r.job.spec.Workload.Spec.footprint_bytes
-      in
-      let xfer =
-        Machine.Topology.batch_transfer_time topo ~src:ns.node_id ~dst ~pages
-          ~page_bytes:Memsys.Page.size
-      in
-      let pause = transform +. xfer in
-      r.cold <- true;
-      r.src_node <- ns.node_id;
-      Sim.Islands.post isl ~dst:(dst + 1)
-        ~after:(Float.max (node_delay ns.node_id dst) pause)
-        (fun isl -> job_land ~steal r isl);
-      Sim.Islands.post isl ~dst:0 ~after:ctrl_delay.(ns.node_id) (fun isl ->
-          touch_sched isl;
-          sched.est_load.(ns.node_id) <-
-            sched.est_load.(ns.node_id) - r.job.threads;
-          sched.est_load.(dst) <- sched.est_load.(dst) + r.job.threads)
+    else begin
+      r.phase_retries <- 0;
+      r.remaining <- r.remaining - 1;
+      if r.remaining = 0 then begin
+        let latency = now -. r.job.arrival in
+        retire r ns isl ~now (fun () ->
+            sched.completions <- (r.job.jid, latency) :: sched.completions)
+      end
+      else
+        match r.pending with
+        | None -> run_phase r ns isl
+        | Some (dst, steal) ->
+          (* Stop-and-copy to the commanded node: the thread state
+             transforms, then the working set crosses the rack fabric as
+             one batched stream. *)
+          r.pending <- None;
+          leave r ns ~now;
+          ns.migrations_out <- ns.migrations_out + 1;
+          let transform = 300e-6 *. float_of_int r.job.threads in
+          let pages =
+            Memsys.Page.count ~bytes:r.job.spec.Workload.Spec.footprint_bytes
+          in
+          let xfer =
+            Machine.Topology.batch_transfer_time topo ~src:ns.node_id ~dst
+              ~pages ~page_bytes:Memsys.Page.size
+          in
+          let pause = transform +. xfer in
+          r.cold <- true;
+          r.src_node <- ns.node_id;
+          Sim.Islands.post isl ~dst:(dst + 1)
+            ~after:(Float.max (node_delay ns.node_id dst) pause)
+            (fun isl -> job_land ~steal r isl);
+          Sim.Islands.post isl ~dst:0 ~after:ctrl_delay.(ns.node_id)
+            (fun isl ->
+              touch_sched isl;
+              sched.est_load.(ns.node_id) <-
+                sched.est_load.(ns.node_id) - r.job.threads;
+              sched.est_load.(dst) <- sched.est_load.(dst) + r.job.threads)
     end
-    else run_phase r ns isl
 
   and job_land ~steal (r : running) isl =
     let ns = nodes.(Sim.Islands.id isl - 1) in
@@ -444,47 +520,62 @@ let run_impl ?(domains = 1) ~capture cfg =
     run_phase r ns isl
 
   and job_start (job : job) isl =
-    let ns = nodes.(Sim.Islands.id isl - 1) in
-    touch_node isl ns;
-    let r =
+    job_land ~steal:false
       { job; remaining = job.n_phases; cold = true; src_node = -1;
-        pending_dst = -1; pending_steal = false }
-    in
-    adjust_busy ns ~now:(Sim.Islands.now isl) job.threads;
-    ns.running <- r :: ns.running;
-    run_phase r ns isl
+        pending = None; phase_retries = 0 }
+      isl
 
   and migrate_cmd ?(steal = false) ~dst isl =
     let ns = nodes.(Sim.Islands.id isl - 1) in
     touch_node isl ns;
     (* Smallest eligible job moves (cheapest working set); lowest jid
        breaks ties deterministically. *)
-    let eligible =
-      List.filter (fun r -> r.pending_dst < 0 && r.remaining > 1) ns.running
+    let smaller r = function
+      | None -> true
+      | Some b ->
+        r.job.threads < b.job.threads
+        || (r.job.threads = b.job.threads && r.job.jid < b.job.jid)
     in
-    let best =
+    match
       List.fold_left
         (fun acc r ->
-          match acc with
-          | None -> Some r
-          | Some b ->
-            if
-              r.job.threads < b.job.threads
-              || (r.job.threads = b.job.threads && r.job.jid < b.job.jid)
-            then Some r
-            else acc)
-        None eligible
-    in
-    match best with
-    | Some r ->
-      r.pending_dst <- dst;
-      r.pending_steal <- steal
+          if Option.is_none r.pending && r.remaining > 1 && smaller r acc then
+            Some r
+          else acc)
+        None ns.running
+    with
+    | Some r -> r.pending <- Some (dst, steal)
     | None -> ()
   in
 
   (* --- scheduler island (island 0) ------------------------------------- *)
-  let fits n (job : job) =
-    sched.est_load.(n) + job.threads <= 2 * sched.cores.(n)
+  (* Admission: at most 2x oversubscription of a node's cores. *)
+  let fits n threads = sched.est_load.(n) + threads <= 2 * sched.cores.(n) in
+  let norm n =
+    float_of_int sched.est_load.(n) /. float_of_int sched.cores.(n)
+  in
+  (* The node other than [except] with room for [threads] that runs
+     [cat] most efficiently (throughput per watt), discounted by load —
+     so a busy efficient node loses to an idle slightly-less-efficient
+     one; -1 if none has room. *)
+  let most_efficient ~except ~threads cat =
+    let best = ref (-1) in
+    let best_s = ref Float.neg_infinity in
+    for n = 0 to n_nodes - 1 do
+      if n <> except && fits n threads then begin
+        let headroom =
+          1.0
+          -. (float_of_int sched.est_load.(n)
+             /. float_of_int (2 * sched.cores.(n)))
+        in
+        let s = efficiency nodes.(n).machine cat *. headroom in
+        if s > !best_s then begin
+          best := n;
+          best_s := s
+        end
+      end
+    done;
+    !best
   in
   let pick_node (job : job) =
     match cfg.policy with
@@ -499,7 +590,7 @@ let run_impl ?(domains = 1) ~capture cfg =
       let best_u = ref (-1.0) in
       let blocked = ref false in
       for n = 0 to n_nodes - 1 do
-        if fits n job then begin
+        if fits n job.threads then begin
           if
             Admission.admits admission loads ~base ~cap:cfg.power_cap_w ~on:n
               ~extra:job.threads
@@ -526,73 +617,67 @@ let run_impl ?(domains = 1) ~capture cfg =
       end
       else None
     | Edp_migrate ->
-      (* ISA-affinity placement: throughput per watt for the job's
-         category, discounted by load — so a busy efficient node loses
-         to an idle slightly-less-efficient one. *)
+      let n =
+        most_efficient ~except:(-1) ~threads:job.threads
+          job.spec.Workload.Spec.category
+      in
+      if n >= 0 then Some n else None
+    | Balance { placement = Least_loaded; _ } ->
       let best = ref (-1) in
-      let best_s = ref Float.neg_infinity in
+      let best_w = ref Float.infinity in
       for n = 0 to n_nodes - 1 do
-        if fits n job then begin
-          let headroom =
-            1.0
-            -. (float_of_int sched.est_load.(n)
-               /. float_of_int (2 * sched.cores.(n)))
+        if fits n job.threads then begin
+          let w =
+            float_of_int (sched.est_load.(n) + job.threads)
+            /. float_of_int sched.cores.(n)
           in
-          let s =
-            efficiency nodes.(n).machine job.spec.Workload.Spec.category
-            *. headroom
-          in
-          if s > !best_s then begin
+          if w < !best_w then begin
             best := n;
-            best_s := s
+            best_w := w
           end
         end
       done;
       if !best >= 0 then Some !best else None
-    | Work_steal ->
+    | Work_steal | Balance { placement = Round_robin; _ } ->
       let found = ref None in
       let tries = ref 0 in
       while !found = None && !tries < n_nodes do
         let n = sched.rr mod n_nodes in
         sched.rr <- sched.rr + 1;
-        if fits n job then found := Some n;
+        if fits n job.threads then found := Some n;
         incr tries
       done;
       !found
   in
+  (* The node whose per-core load estimate is [better] than every
+     other's; the lowest index wins ties. *)
+  let extreme (better : float -> float -> bool) =
+    let x = ref 0 in
+    for n = 1 to n_nodes - 1 do
+      if better (norm n) (norm !x) then x := n
+    done;
+    !x
+  in
+  (* Command one migration from [hi] to [dst] when their load gap is
+     wide enough; one per epoch lets the system settle between moves. *)
+  let shed isl ~hi ~dst =
+    if norm hi -. norm dst >= 0.75 && sched.est_load.(hi) >= 2 then
+      Sim.Islands.post isl ~dst:(hi + 1) ~after:ctrl_delay.(hi)
+        (migrate_cmd ~dst)
+  in
   let rack_victim = Array.make (Machine.Topology.racks topo) (-1) in
   let rebalance isl =
     match cfg.policy with
-    | Pack_power_cap -> ()  (* the cap is enforced at admission *)
+    | Pack_power_cap (* the cap is enforced at admission *)
+    | Balance { migration = false; _ } -> ()
+    | Balance { migration = true; _ } ->
+      shed isl ~hi:(extreme ( > )) ~dst:(extreme ( < ))
     | Edp_migrate ->
-      (* Worst-placed load moves to the best node with room. Estimates
-         rank by per-core efficiency-weighted pressure; command one
-         migration per epoch so the system settles between moves. *)
-      let norm n =
-        float_of_int sched.est_load.(n) /. float_of_int sched.cores.(n)
-      in
-      let hi = ref 0 and best = ref (-1) in
-      let best_s = ref Float.neg_infinity in
-      for n = 1 to n_nodes - 1 do
-        if norm n > norm !hi then hi := n
-      done;
-      for n = 0 to n_nodes - 1 do
-        if n <> !hi && sched.est_load.(n) + 1 <= 2 * sched.cores.(n) then begin
-          let s =
-            efficiency nodes.(n).machine Isa.Cost_model.Mixed
-            *. (1.0 -. (norm n /. 2.0))
-          in
-          if s > !best_s then begin
-            best := n;
-            best_s := s
-          end
-        end
-      done;
-      if !best >= 0 && norm !hi -. norm !best >= 0.75
-         && sched.est_load.(!hi) >= 2
-      then
-        Sim.Islands.post isl ~dst:(!hi + 1) ~after:ctrl_delay.(!hi)
-          (migrate_cmd ~dst:!best)
+      (* Worst-placed load moves to the best other node with room,
+         ranked by efficiency-weighted pressure. *)
+      let hi = extreme ( > ) in
+      let dst = most_efficient ~except:hi ~threads:1 Isa.Cost_model.Mixed in
+      if dst >= 0 then shed isl ~hi ~dst
     | Work_steal ->
       (* Every idle node steals from the most-loaded victim, in-rack
          victims first: the aggregation hop makes remote theft dearer
@@ -621,6 +706,8 @@ let run_impl ?(domains = 1) ~capture cfg =
   in
   let rec tick isl =
     touch_sched isl;
+    (* Dispatch the epoch's batch in FIFO order; the head blocks when no
+       node admits the next job. *)
     let dispatching = ref true in
     while !dispatching && not (Queue.is_empty sched.queue) do
       let job = Queue.peek sched.queue in
@@ -637,7 +724,7 @@ let run_impl ?(domains = 1) ~capture cfg =
       Sim.Islands.schedule_in isl ~after:cfg.epoch_s tick
   in
   let sched_isl = Sim.Islands.island rt 0 in
-  List.iter
+  Array.iter
     (fun (job : job) ->
       Sim.Islands.schedule sched_isl ~at:job.arrival (fun isl ->
           touch_sched isl;
@@ -649,13 +736,13 @@ let run_impl ?(domains = 1) ~capture cfg =
 
   (* --- results (merged in canonical order) ----------------------------- *)
   let completions = List.rev sched.completions in
-  let arrival_of = Array.make cfg.jobs 0.0 in
-  List.iter (fun (j : job) -> arrival_of.(j.jid) <- j.arrival) arrivals;
   let makespan =
     List.fold_left
-      (fun acc (jid, lat) -> Float.max acc (arrival_of.(jid) +. lat))
+      (fun acc (jid, lat) -> Float.max acc (arrivals.(jid).arrival +. lat))
       0.0 completions
   in
+  (* Idle-settle every node out to the makespan so energy covers the same
+     interval on every node, in node order. *)
   Array.iter
     (fun ns -> if ns.last_update < makespan then settle ns ~now:makespan)
     nodes;
@@ -679,6 +766,8 @@ let run_impl ?(domains = 1) ~capture cfg =
   in
   {
     completed = List.length completions;
+    failed = sched.failed;
+    retried_phases = Array.fold_left (fun acc ns -> acc + ns.retried) 0 nodes;
     migrations =
       Array.fold_left (fun acc ns -> acc + ns.migrations_out) 0 nodes;
     steals = Array.fold_left (fun acc ns -> acc + ns.steals_in) 0 nodes;
@@ -706,15 +795,13 @@ let run_audited ?domains cfg =
 
 (* Byte-stable rendering: pure function of the deterministic simulation
    — no wall-clock, no domain count — so `--seq` and `--islands N`
-   outputs diff clean. *)
-let render cfg r =
+   outputs diff clean. Each preset supplies its header, outcome counts
+   and optional extra line; the rest is shared. *)
+let render_report ~header ~counts ?(extra = "") topology r =
   let b = Buffer.create 512 in
-  Printf.bprintf b
-    "cluster: policy=%s jobs=%d seed=%d epoch=%.3fs power-cap=%.0fW\n"
-    (policy_name cfg.policy) cfg.jobs cfg.seed cfg.epoch_s cfg.power_cap_w;
-  Printf.bprintf b "topology: %s\n" (Machine.Topology.describe cfg.topology);
-  Printf.bprintf b "completed=%d migrations=%d steals=%d deferred=%d\n"
-    r.completed r.migrations r.steals r.deferred;
+  Buffer.add_string b header;
+  Printf.bprintf b "topology: %s\n" (Machine.Topology.describe topology);
+  Buffer.add_string b counts;
   Printf.bprintf b
     "makespan=%.6fs energy=%.3fkJ (x86 %.3fkJ arm64 %.3fkJ) edp=%.6ekJs\n"
     r.makespan
@@ -722,10 +809,24 @@ let render cfg r =
     (r.energy_x86_j /. 1e3)
     (r.energy_arm_j /. 1e3)
     (r.edp /. 1e3);
-  if cfg.policy = Pack_power_cap then
-    Printf.bprintf b "peak-power=%.1fW cap=%.0fW\n" r.peak_power_w
-      cfg.power_cap_w;
+  Buffer.add_string b extra;
   Printf.bprintf b "latency p50=%.6fs p99=%.6fs\n" r.p50_latency_s
     r.p99_latency_s;
   Printf.bprintf b "events=%d windows=%d\n" r.events r.windows;
   Buffer.contents b
+
+let render cfg r =
+  render_report cfg.topology r
+    ~header:
+      (Printf.sprintf
+         "cluster: policy=%s jobs=%d seed=%d epoch=%.3fs power-cap=%.0fW\n"
+         (policy_name cfg.policy) cfg.jobs cfg.seed cfg.epoch_s
+         cfg.power_cap_w)
+    ~counts:
+      (Printf.sprintf "completed=%d migrations=%d steals=%d deferred=%d\n"
+         r.completed r.migrations r.steals r.deferred)
+    ~extra:
+      (if cfg.policy = Pack_power_cap then
+         Printf.sprintf "peak-power=%.1fW cap=%.0fW\n" r.peak_power_w
+           cfg.power_cap_w
+       else "")

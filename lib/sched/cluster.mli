@@ -1,12 +1,19 @@
-(** Global cluster scheduling over a {!Machine.Topology}: policies that
-    choose *which node* as well as *which ISA*, at warehouse scale.
+(** The warehouse simulator: jobs scheduled over a {!Machine.Topology}
+    by policies that choose *which node* as well as *which ISA*. Both
+    [hetmig cluster] and [hetmig fleet] run it; {!Fleet} is a preset
+    that fixes the policy to {!Balance}.
 
-    Runtime shape is {!Fleet}'s — island 0 is the scheduler at the
-    cluster head, islands 1..N the topology's nodes, control traffic
-    batched per [epoch_s] and carried over its rack-fabric path, the
-    per-edge minimum delay forming the runtime's topology-aware
-    lookahead matrix. The report is a pure function of the config:
+    Island 0 is the scheduler at the cluster head, islands 1..N the
+    topology's nodes, control traffic batched per [epoch_s] and carried
+    over its rack-fabric path, the per-edge minimum delay forming the
+    runtime's topology-aware lookahead matrix. Migration transfers and
+    cold-set page faults are path-dependent: cross-rack moves pay the
+    aggregation hop. The report is a pure function of the config:
     domain count never changes a byte. *)
+
+type placement = Least_loaded | Round_robin
+
+val placement_name : placement -> string
 
 type policy =
   | Pack_power_cap
@@ -19,10 +26,18 @@ type policy =
   | Work_steal
       (** round-robin local placement; idle nodes steal from the
           most-loaded victim, in-rack victims preferred *)
+  | Balance of { placement : placement; migration : bool }
+      (** the fleet preset: [placement] by normalised load or round
+          robin; with [migration], one job per epoch moves from the most
+          to the least loaded node *)
 
 val policy_name : policy -> string
+
 val policy_of_name : string -> policy option
+(** The [hetmig cluster --policy] names; {!Balance} has none. *)
+
 val all_policies : policy list
+(** [Pack_power_cap; Edp_migrate; Work_steal]. *)
 
 type config = {
   topology : Machine.Topology.t;
@@ -33,13 +48,19 @@ type config = {
   policy : policy;
   power_cap_w : float;
       (** [Pack_power_cap]: projected cluster power admission budget *)
-  quantum_instructions : float;
+  fail_rate : float;
+      (** per-phase failure probability; a phase retries up to 3 times,
+          then its job fails. At 0 no failure is ever drawn. *)
 }
 
 val default : topology:Machine.Topology.t -> jobs:int -> seed:int -> config
+(** {!Edp_migrate}, 0.02 s mean interarrival, 0.25 s epoch, a power cap
+    of 82.5 W per node, no failures. *)
 
 type result = {
   completed : int;
+  failed : int;  (** jobs that exhausted their phase retries *)
+  retried_phases : int;
   migrations : int;
   steals : int;  (** jobs that landed on a node via work stealing *)
   deferred : int;  (** admissions blocked at least once by the power cap *)
@@ -51,8 +72,8 @@ type result = {
   peak_power_w : float;  (** max projected cluster power at placement *)
   p50_latency_s : float;
   p99_latency_s : float;
-  events : int;
-  windows : int;
+  events : int;  (** simulation events executed *)
+  windows : int;  (** conservative synchronization windows *)
 }
 
 (** Power-capped admission for {!Pack_power_cap}: is the projected
@@ -98,3 +119,14 @@ val run_audited : ?domains:int -> config -> result * Sim.Islands.capture
 val render : config -> result -> string
 (** Byte-stable text report (no wall-clock, no domain count): the
     artifact CI diffs between [--seq] and [--islands N] runs. *)
+
+val render_report :
+  header:string ->
+  counts:string ->
+  ?extra:string ->
+  Machine.Topology.t ->
+  result ->
+  string
+(** The report layout every preset shares: [header], the topology,
+    [counts], makespan and energy, [extra] (default none), latency
+    quantiles and runtime counters. Each given line ends in a newline. *)

@@ -1,53 +1,27 @@
-(* Warehouse-scale mixed-ISA fleet simulation on the time-island runtime
-   (`Sim.Islands`): the "Instruction Set Migration at Warehouse Scale"
-   scenario the paper's two-node evaluation cannot express.
+(* `hetmig fleet`: the "Instruction Set Migration at Warehouse Scale"
+   scenario as a preset of the warehouse simulator, `Sched.Cluster`.
+   The preset fixes the policy to [Cluster.Balance] (least-loaded or
+   round-robin placement, optional hi->lo balancing migration), keeps
+   the power cap at Cluster's default (no fleet policy reads it), and
+   brings its own defaults and report header. *)
 
-   Topology: island 0 is the fleet scheduler (the cluster head, sitting
-   beside rack 0's ToR in `Machine.Topology`); islands 1..N are the
-   topology's nodes. All control traffic is batched on epoch boundaries
-   — the scheduler dispatches, nodes report completions, and migration
-   commands travel, once per [epoch_s] — and every message additionally
-   crosses its path through the rack fabric, so the minimum delay on
-   edge (s, d) is the epoch plus that path's latency. That per-edge
-   floor is handed to the runtime as a topology-aware lookahead matrix:
-   posts are checked against their own edge, and the synchronization
-   window advances by the matrix minimum (>= the epoch), keeping the
-   conservative argument intact while cross-rack edges admit wider
-   windows.
+type placement = Cluster.placement = Least_loaded | Round_robin
 
-   Every node island owns its state outright: running set, busy-core
-   count, energy integral, PRNG stream for phase-locality sampling, and
-   failure draws. The scheduler island owns the queue and per-node load
-   *estimates*, updated only by messages. Nothing is shared, which is
-   exactly the contract that lets one run span domains while staying
-   bit-identical to the sequential schedule. *)
-
-type placement = Least_loaded | Round_robin
-
-let placement_name = function
-  | Least_loaded -> "least-loaded"
-  | Round_robin -> "round-robin"
+let placement_name = Cluster.placement_name
 
 type config = {
-  nodes : int;
   jobs : int;
   seed : int;
   mean_interarrival_s : float;
-  epoch_s : float;  (** dispatch/report batching epoch = lookahead *)
+  epoch_s : float;
   placement : placement;
   migration : bool;
-  fail_rate : float;  (** per-phase failure probability; failed phases retry *)
-  quantum_instructions : float;
-  topology : Machine.Topology.t;  (** must have exactly [nodes] nodes *)
+  fail_rate : float;
+  topology : Machine.Topology.t;
 }
 
-(* The default topology is one rack whose local link is the paper's
-   10GbE interconnect: every distinct pair sees the original
-   point-to-point cost model, so pre-cluster fleet scenarios keep their
-   meaning. *)
 let default ~nodes ~jobs ~seed =
   {
-    nodes;
     jobs;
     seed;
     mean_interarrival_s = 0.5;
@@ -55,552 +29,55 @@ let default ~nodes ~jobs ~seed =
     placement = Least_loaded;
     migration = true;
     fail_rate = 0.0;
-    quantum_instructions = 1e8;
     topology =
       Machine.Topology.flat ~nodes
         ~interconnect:Machine.Interconnect.ethernet_10g ();
   }
 
-let with_topology cfg topo =
-  { cfg with nodes = Machine.Topology.nodes topo; topology = topo }
+let to_cluster cfg =
+  {
+    (Cluster.default ~topology:cfg.topology ~jobs:cfg.jobs ~seed:cfg.seed) with
+    Cluster.mean_interarrival_s = cfg.mean_interarrival_s;
+    epoch_s = cfg.epoch_s;
+    policy =
+      Cluster.Balance { placement = cfg.placement; migration = cfg.migration };
+    fail_rate = cfg.fail_rate;
+  }
 
-type result = {
+type result = Cluster.result = {
   completed : int;
   failed : int;
   retried_phases : int;
   migrations : int;
+  steals : int;
+  deferred : int;
   makespan : float;
   total_energy_j : float;
   energy_x86_j : float;
   energy_arm_j : float;
   edp : float;
+  peak_power_w : float;
   p50_latency_s : float;
   p99_latency_s : float;
   events : int;
   windows : int;
 }
 
-(* --- job mix ----------------------------------------------------------- *)
+let run ?domains cfg = Cluster.run ?domains (to_cluster cfg)
+let run_audited ?domains cfg = Cluster.run_audited ?domains (to_cluster cfg)
 
-let job_pool =
-  let open Workload.Spec in
-  [|
-    (CG, A); (CG, B); (IS, A); (IS, B); (FT, A); (EP, A); (EP, B); (MG, A);
-    (MG, B); (BT, A); (SP, A); (LU, A); (Bzip2smp, A); (Bzip2smp, B);
-    (Verus, A); (Verus, B); (Verus, C); (Redis, A); (Redis, B);
-  |]
-
-let thread_counts = [| 1; 2; 4 |]
-
-type job = {
-  jid : int;
-  arrival : float;
-  threads : int;
-  spec : Workload.Spec.t;
-  n_phases : int;
-  phase_instr : float;
-}
-
-let make_job cfg rng jid arrival =
-  let bench, cls = Sim.Prng.choice rng job_pool in
-  let spec = Workload.Spec.spec bench cls in
-  let threads = Sim.Prng.choice rng thread_counts in
-  let per_thread =
-    spec.Workload.Spec.total_instructions /. float_of_int threads
-  in
-  let n_phases =
-    max 1 (int_of_float (Float.ceil (per_thread /. cfg.quantum_instructions)))
-  in
-  { jid; arrival; threads; spec; n_phases;
-    phase_instr = per_thread /. float_of_int n_phases }
-
-(* --- per-island state -------------------------------------------------- *)
-
-type running = {
-  job : job;
-  mutable remaining : int;
-  mutable cold : bool;  (** working set not yet resident: next phase faults *)
-  mutable src_node : int;
-      (** where a cold set streams from: -1 = the head's job store,
-          else the node the job migrated away from *)
-  mutable phase_retries : int;
-  mutable pending_dst : int;  (** -1 = none; else migrate there at boundary *)
-}
-
-type node_state = {
-  node_id : int;
-  machine : Machine.Server.t;
-  mutable busy : int;
-  mutable energy_j : float;
-  mutable last_update : float;
-  mutable running : running list;
-  mutable migrations_out : int;
-  mutable downtime_s : float;
-  mutable retried : int;
-}
-
-type sched_state = {
-  queue : job Queue.t;
-  est_load : int array;
-  cores : int array;
-  mutable outstanding : int;
-  mutable rr : int;
-  mutable completions : (int * float) list;  (** (jid, latency), report order *)
-  mutable failed : int;
-}
-
-let utilization ns =
-  Float.min 1.0
-    (float_of_int ns.busy /. float_of_int ns.machine.Machine.Server.cores)
-
-let settle ns ~now =
-  let power =
-    Machine.Power.system_power ns.machine.Machine.Server.power
-      ~utilization:(utilization ns)
-  in
-  ns.energy_j <- ns.energy_j +. ((now -. ns.last_update) *. power);
-  ns.last_update <- now
-
-let adjust_busy ns ~now delta =
-  settle ns ~now;
-  ns.busy <- ns.busy + delta
-
-(* Remote page fault served by the hDSM protocol: handler software on
-   top of a round trip over the given path, as in `Dsm.Hdsm`. Warm
-   misses hit the nearest replica (one local hop); cold working sets
-   stream from wherever the job last lived — the head's job store on
-   first placement, the previous host after a migration — so fault cost
-   is path-dependent. *)
-let fault_handler_s = 50e-6
-
-let fault_cost_over link =
-  fault_handler_s
-  +. Machine.Topology.page_transfer_time_link link ~page_bytes:Memsys.Page.size
-
-(* Pages a phase touches; kept small — locality within a quantum — but
-   a cold (just-placed or just-migrated) working set faults on all of
-   them. *)
-let phase_pages = 16
-
-let max_phase_retries = 3
-
-(* --- the simulation ---------------------------------------------------- *)
-
-let run_impl ?(domains = 1) ~capture cfg =
-  if cfg.nodes < 2 then invalid_arg "Fleet.run: need at least 2 nodes";
-  if cfg.jobs < 1 then invalid_arg "Fleet.run: need at least 1 job";
-  if not (Float.is_finite cfg.epoch_s) || cfg.epoch_s <= 0.0 then
-    invalid_arg "Fleet.run: epoch must be positive";
-  if Machine.Topology.nodes cfg.topology <> cfg.nodes then
-    invalid_arg
-      (Printf.sprintf
-         "Fleet.run: topology has %d node(s) but the config says %d"
-         (Machine.Topology.nodes cfg.topology)
-         cfg.nodes);
-  let topo = cfg.topology in
-  (* Per-edge control delays: a message from/to the scheduler (island 0)
-     crosses the head path to its node; node-to-node traffic crosses the
-     rack fabric. Each is the batching epoch plus the path latency, and
-     the same values form the runtime's topology-aware lookahead
-     matrix — posts below their edge's floor are runtime errors. *)
-  let ctrl_delay =
-    Array.init cfg.nodes (fun i ->
-        cfg.epoch_s
-        +. (Machine.Topology.head_path topo ~dst:i).Machine.Topology.latency_s)
-  in
-  let node_delay i j =
-    cfg.epoch_s
-    +. (Machine.Topology.path topo ~src:i ~dst:j).Machine.Topology.latency_s
-  in
-  let edge_lookahead =
-    Array.init (cfg.nodes + 1) (fun s ->
-        Array.init (cfg.nodes + 1) (fun d ->
-            if s = d then 0.0
-            else if s = 0 then ctrl_delay.(d - 1)
-            else if d = 0 then ctrl_delay.(s - 1)
-            else node_delay (s - 1) (d - 1)))
-  in
-  let rt =
-    Sim.Islands.create ~capture ~edge_lookahead ~islands:(cfg.nodes + 1)
-      ~lookahead:cfg.epoch_s ~seed:cfg.seed ()
-  in
-  (* Ownership tags for the island race audit: the scheduler island (0)
-     owns the queue and load estimates (resource 0); node island i+1
-     owns node i's mutable state (resource i+1). Guarded by a local
-     immutable bool so plain runs pay nothing. *)
-  let audit = capture in
-  let touch_sched isl =
-    if audit then Sim.Islands.touch isl ~owner:0 ~resource:0 ~write:true
-  in
-  let touch_node isl ns =
-    if audit then
-      Sim.Islands.touch isl ~owner:(ns.node_id + 1) ~resource:(ns.node_id + 1)
-        ~write:true
-  in
-  let nodes =
-    Array.init cfg.nodes (fun i ->
-        {
-          node_id = i;
-          machine = Machine.Topology.server topo i;
-          busy = 0;
-          energy_j = 0.0;
-          last_update = 0.0;
-          running = [];
-          migrations_out = 0;
-          downtime_s = 0.0;
-          retried = 0;
-        })
-  in
-  let sched =
-    {
-      queue = Queue.create ();
-      est_load = Array.make cfg.nodes 0;
-      cores =
-        Array.map (fun ns -> ns.machine.Machine.Server.cores) nodes;
-      outstanding = cfg.jobs;
-      rr = 0;
-      completions = [];
-      failed = 0;
-    }
-  in
-  let warm_fault_cost = fault_cost_over topo.Machine.Topology.local in
-  let cold_fault_cost (r : running) ns =
-    if r.src_node < 0 then
-      fault_cost_over (Machine.Topology.head_path topo ~dst:ns.node_id)
-    else
-      fault_cost_over
-        (Machine.Topology.path topo ~src:r.src_node ~dst:ns.node_id)
-  in
-  (* Job arrivals: drawn up-front from the run seed (independent of any
-     island stream), Poisson-spaced. *)
-  let arrivals =
-    let rng = Sim.Prng.create cfg.seed in
-    let t = ref 0.0 in
-    List.init cfg.jobs (fun jid ->
-        let job = make_job cfg rng jid !t in
-        t := !t +. Sim.Prng.exponential rng ~mean:cfg.mean_interarrival_s;
-        job)
-  in
-
-  (* --- node islands (island id = node_id + 1) -------------------------- *)
-  let rec run_phase (r : running) ns isl =
-    touch_node isl ns;
-    let now = Sim.Islands.now isl in
-    let m = ns.machine in
-    let compute =
-      Isa.Cost_model.seconds_for m.Machine.Server.cost
-        r.job.spec.Workload.Spec.category ~instructions:r.job.phase_instr
-    in
-    let contention =
-      Float.max 1.0
-        (float_of_int ns.busy /. float_of_int m.Machine.Server.cores)
-    in
-    (* Phase-locality sampling from the island's private stream: a cold
-       working set faults on every page of the phase window; a warm one
-       occasionally takes a small burst of misses (cross-job
-       interference, page stealing). *)
-    let misses, miss_cost =
-      if r.cold then (phase_pages, cold_fault_cost r ns)
-      else begin
-        let u = Sim.Prng.float (Sim.Islands.prng isl) 1.0 in
-        ( (if u < 0.05 then 1 + Sim.Prng.int (Sim.Islands.prng isl) 4 else 0),
-          warm_fault_cost )
-      end
-    in
-    r.cold <- false;
-    let duration =
-      (compute *. contention) +. (float_of_int misses *. miss_cost)
-    in
-    Sim.Islands.schedule isl ~at:(now +. duration) (fun isl ->
-        phase_done r ns isl)
-
-  and phase_done (r : running) ns isl =
-    touch_node isl ns;
-    let now = Sim.Islands.now isl in
-    (* Failure draw only when the plan can fail: the zero-rate fleet is
-       byte-identical to one with no failure machinery at all. *)
-    let failed_draw =
-      cfg.fail_rate > 0.0
-      && Sim.Prng.float (Sim.Islands.prng isl) 1.0 < cfg.fail_rate
-    in
-    if failed_draw then begin
-      if r.phase_retries >= max_phase_retries then begin
-        (* Give up on the job: report the failure at the next epoch. *)
-        adjust_busy ns ~now (-r.job.threads);
-        ns.running <- List.filter (fun x -> x != r) ns.running;
-        Sim.Islands.post isl ~dst:0 ~after:ctrl_delay.(ns.node_id)
-          (fun isl ->
-            touch_sched isl;
-            sched.outstanding <- sched.outstanding - 1;
-            sched.failed <- sched.failed + 1;
-            sched.est_load.(ns.node_id) <-
-              sched.est_load.(ns.node_id) - r.job.threads)
-      end
-      else begin
-        r.phase_retries <- r.phase_retries + 1;
-        ns.retried <- ns.retried + 1;
-        run_phase r ns isl
-      end
-    end
-    else begin
-      r.phase_retries <- 0;
-      r.remaining <- r.remaining - 1;
-      if r.remaining = 0 then begin
-        adjust_busy ns ~now (-r.job.threads);
-        ns.running <- List.filter (fun x -> x != r) ns.running;
-        let latency = now -. r.job.arrival in
-        Sim.Islands.post isl ~dst:0 ~after:ctrl_delay.(ns.node_id)
-          (fun isl ->
-            touch_sched isl;
-            sched.outstanding <- sched.outstanding - 1;
-            sched.est_load.(ns.node_id) <-
-              sched.est_load.(ns.node_id) - r.job.threads;
-            sched.completions <- (r.job.jid, latency) :: sched.completions)
-      end
-      else if r.pending_dst >= 0 then begin
-        (* Migration point: stop-and-copy to the commanded node. The
-           thread state transforms, then the working set crosses its
-           path through the rack fabric as one batched stream — a
-           cross-rack move pays the aggregation hop. *)
-        let dst = r.pending_dst in
-        r.pending_dst <- -1;
-        adjust_busy ns ~now (-r.job.threads);
-        ns.running <- List.filter (fun x -> x != r) ns.running;
-        ns.migrations_out <- ns.migrations_out + 1;
-        let transform = 300e-6 *. float_of_int r.job.threads in
-        let pages =
-          Memsys.Page.count ~bytes:r.job.spec.Workload.Spec.footprint_bytes
-        in
-        let xfer =
-          Machine.Topology.batch_transfer_time topo ~src:ns.node_id ~dst
-            ~pages ~page_bytes:Memsys.Page.size
-        in
-        let pause = transform +. xfer in
-        ns.downtime_s <- ns.downtime_s +. pause;
-        r.cold <- true;
-        r.src_node <- ns.node_id;
-        Sim.Islands.post isl ~dst:(dst + 1)
-          ~after:(Float.max (node_delay ns.node_id dst) pause)
-          (fun isl -> job_land r isl);
-        (* Keep the scheduler's placement estimates truthful. *)
-        Sim.Islands.post isl ~dst:0 ~after:ctrl_delay.(ns.node_id)
-          (fun isl ->
-            touch_sched isl;
-            sched.est_load.(ns.node_id) <-
-              sched.est_load.(ns.node_id) - r.job.threads;
-            sched.est_load.(dst) <- sched.est_load.(dst) + r.job.threads)
-      end
-      else run_phase r ns isl
-    end
-
-  and job_land (r : running) isl =
-    let ns = nodes.(Sim.Islands.id isl - 1) in
-    touch_node isl ns;
-    adjust_busy ns ~now:(Sim.Islands.now isl) r.job.threads;
-    ns.running <- r :: ns.running;
-    run_phase r ns isl
-
-  and job_start (job : job) isl =
-    let ns = nodes.(Sim.Islands.id isl - 1) in
-    touch_node isl ns;
-    let r =
-      { job; remaining = job.n_phases; cold = true; src_node = -1;
-        phase_retries = 0; pending_dst = -1 }
-    in
-    adjust_busy ns ~now:(Sim.Islands.now isl) job.threads;
-    ns.running <- r :: ns.running;
-    run_phase r ns isl
-
-  and migrate_cmd ~dst isl =
-    let ns = nodes.(Sim.Islands.id isl - 1) in
-    touch_node isl ns;
-    (* Smallest eligible job leaves (cheapest working set to move);
-       lowest jid breaks ties deterministically. *)
-    let eligible =
-      List.filter (fun r -> r.pending_dst < 0 && r.remaining > 1) ns.running
-    in
-    let best =
-      List.fold_left
-        (fun acc r ->
-          match acc with
-          | None -> Some r
-          | Some b ->
-            if
-              r.job.threads < b.job.threads
-              || (r.job.threads = b.job.threads && r.job.jid < b.job.jid)
-            then Some r
-            else acc)
-        None eligible
-    in
-    match best with
-    | Some r -> r.pending_dst <- dst
-    | None -> ()
-  in
-
-  (* --- scheduler island (island 0) ------------------------------------- *)
-  let pick_node (job : job) =
-    let fits n = sched.est_load.(n) + job.threads <= 2 * sched.cores.(n) in
-    match cfg.placement with
-    | Least_loaded ->
-      let best = ref (-1) in
-      let best_w = ref Float.infinity in
-      for n = 0 to cfg.nodes - 1 do
-        if fits n then begin
-          let w =
-            float_of_int (sched.est_load.(n) + job.threads)
-            /. float_of_int sched.cores.(n)
-          in
-          if w < !best_w then begin
-            best := n;
-            best_w := w
-          end
-        end
-      done;
-      if !best >= 0 then Some !best else None
-    | Round_robin ->
-      let found = ref None in
-      let tries = ref 0 in
-      while !found = None && !tries < cfg.nodes do
-        let n = sched.rr mod cfg.nodes in
-        sched.rr <- sched.rr + 1;
-        if fits n then found := Some n;
-        incr tries
-      done;
-      !found
-  in
-  let try_migrate isl =
-    if cfg.migration then begin
-      let norm n =
-        float_of_int sched.est_load.(n) /. float_of_int sched.cores.(n)
-      in
-      let hi = ref 0 and lo = ref 0 in
-      for n = 1 to cfg.nodes - 1 do
-        if norm n > norm !hi then hi := n;
-        if norm n < norm !lo then lo := n
-      done;
-      if
-        !hi <> !lo
-        && norm !hi -. norm !lo >= 0.75
-        && sched.est_load.(!hi) >= 2
-      then
-        Sim.Islands.post isl ~dst:(!hi + 1) ~after:ctrl_delay.(!hi)
-          (migrate_cmd ~dst:!lo)
-    end
-  in
-  let rec tick isl =
-    touch_sched isl;
-    (* Dispatch the epoch's batch in FIFO order; the head blocks when no
-       node has room under the 2x-oversubscription admission cap. *)
-    let dispatching = ref true in
-    while !dispatching && not (Queue.is_empty sched.queue) do
-      let job = Queue.peek sched.queue in
-      match pick_node job with
-      | None -> dispatching := false
-      | Some n ->
-        ignore (Queue.pop sched.queue);
-        sched.est_load.(n) <- sched.est_load.(n) + job.threads;
-        Sim.Islands.post isl ~dst:(n + 1) ~after:ctrl_delay.(n)
-          (job_start job)
-    done;
-    try_migrate isl;
-    if sched.outstanding > 0 then
-      Sim.Islands.schedule_in isl ~after:cfg.epoch_s tick
-  in
-  let sched_isl = Sim.Islands.island rt 0 in
-  List.iter
-    (fun (job : job) ->
-      Sim.Islands.schedule sched_isl ~at:job.arrival (fun isl ->
-          touch_sched isl;
-          Queue.push job sched.queue))
-    arrivals;
-  Sim.Islands.schedule sched_isl ~at:cfg.epoch_s tick;
-
-  Sim.Islands.run ~domains rt;
-
-  (* --- results (merged in canonical order) ----------------------------- *)
-  let completions = List.rev sched.completions in
-  let makespan =
-    List.fold_left
-      (fun acc (jid, lat) ->
-        let job = List.nth arrivals jid in
-        Float.max acc (job.arrival +. lat))
-      0.0 completions
-  in
-  (* Idle-settle every node out to the makespan so energy covers the same
-     interval on every node, in node order. *)
-  Array.iter
-    (fun ns -> if ns.last_update < makespan then settle ns ~now:makespan)
-    nodes;
-  let energy_of arch =
-    Array.fold_left
-      (fun acc ns ->
-        if ns.machine.Machine.Server.arch = arch then acc +. ns.energy_j
-        else acc)
-      0.0 nodes
-  in
-  let energy_x86 = energy_of Isa.Arch.X86_64 in
-  let energy_arm = energy_of Isa.Arch.Arm64 in
-  let total_energy = energy_x86 +. energy_arm in
-  let latencies =
-    let arr = Array.of_list (List.map snd completions) in
-    Array.sort Float.compare arr;
-    arr
-  in
-  let quant q =
-    if Array.length latencies = 0 then 0.0 else Sim.Stats.quantile latencies q
-  in
-  {
-    completed = List.length completions;
-    failed = sched.failed;
-    retried_phases =
-      Array.fold_left (fun acc ns -> acc + ns.retried) 0 nodes;
-    migrations =
-      Array.fold_left (fun acc ns -> acc + ns.migrations_out) 0 nodes;
-    makespan;
-    total_energy_j = total_energy;
-    energy_x86_j = energy_x86;
-    energy_arm_j = energy_arm;
-    edp = total_energy *. makespan;
-    p50_latency_s = quant 0.5;
-    p99_latency_s = quant 0.99;
-    events = Sim.Islands.events_executed rt;
-    windows = Sim.Islands.windows rt;
-  },
-  rt
-
-let run ?domains cfg = fst (run_impl ?domains ~capture:false cfg)
-
-let run_audited ?domains cfg =
-  let r, rt = run_impl ?domains ~capture:true cfg in
-  match Sim.Islands.capture rt with
-  | Some cap -> (r, cap)
-  | None -> assert false
-
-(* Byte-stable rendering: everything here is a pure function of the
-   deterministic simulation, so `--seq` and `--islands N` outputs diff
-   clean. No wall-clock, no domain count. *)
 let render cfg r =
-  let b = Buffer.create 512 in
-  let x86 = Machine.Topology.isa_count cfg.topology Isa.Arch.X86_64 in
-  let arm = Machine.Topology.isa_count cfg.topology Isa.Arch.Arm64 in
-  Printf.bprintf b
-    "fleet: nodes=%d (x86=%d arm64=%d) jobs=%d seed=%d epoch=%.3fs \
-     placement=%s migration=%s fail-rate=%.3f\n"
-    cfg.nodes x86 arm cfg.jobs cfg.seed cfg.epoch_s
-    (placement_name cfg.placement)
-    (if cfg.migration then "on" else "off")
-    cfg.fail_rate;
-  Printf.bprintf b "topology: %s\n" (Machine.Topology.describe cfg.topology);
-  Printf.bprintf b "completed=%d failed=%d retried-phases=%d migrations=%d\n"
-    r.completed r.failed r.retried_phases r.migrations;
-  Printf.bprintf b
-    "makespan=%.6fs energy=%.3fkJ (x86 %.3fkJ arm64 %.3fkJ) edp=%.6ekJs\n"
-    r.makespan
-    (r.total_energy_j /. 1e3)
-    (r.energy_x86_j /. 1e3)
-    (r.energy_arm_j /. 1e3)
-    (r.edp /. 1e3);
-  Printf.bprintf b "latency p50=%.6fs p99=%.6fs\n" r.p50_latency_s
-    r.p99_latency_s;
-  Printf.bprintf b "events=%d windows=%d\n" r.events r.windows;
-  Buffer.contents b
+  let isa = Machine.Topology.isa_count cfg.topology in
+  Cluster.render_report cfg.topology r
+    ~header:
+      (Printf.sprintf
+         "fleet: nodes=%d (x86=%d arm64=%d) jobs=%d seed=%d epoch=%.3fs \
+          placement=%s migration=%s fail-rate=%.3f\n"
+         (Machine.Topology.nodes cfg.topology)
+         (isa Isa.Arch.X86_64) (isa Isa.Arch.Arm64) cfg.jobs cfg.seed
+         cfg.epoch_s (placement_name cfg.placement)
+         (if cfg.migration then "on" else "off")
+         cfg.fail_rate)
+    ~counts:
+      (Printf.sprintf "completed=%d failed=%d retried-phases=%d migrations=%d\n"
+         r.completed r.failed r.retried_phases r.migrations)

@@ -1,23 +1,15 @@
-(** Warehouse-scale mixed-ISA fleet simulation on the time-island
-    runtime ({!Sim.Islands}).
+(** [hetmig fleet]: the warehouse-scale mixed-ISA fleet scenario, a
+    preset of the {!Cluster} simulator with its policy fixed to
+    {!Cluster.Balance}. It has no simulation code of its own: {!run}
+    converts the config to a {!Cluster.config} (the power cap stays at
+    {!Cluster.default}'s, which no fleet policy reads) and runs
+    {!Cluster.run}. *)
 
-    Island 0 is the fleet scheduler (the cluster head of the config's
-    {!Machine.Topology}); islands 1..N are the topology's nodes. All
-    control traffic (dispatch, completion reports, migration commands)
-    is batched on [epoch_s] boundaries and additionally crosses its
-    path through the rack fabric, so each island pair's minimum delay —
-    the epoch plus that path's latency — forms a topology-aware
-    per-edge lookahead matrix. Migration transfers and cold-set page
-    faults are path-dependent: cross-rack moves pay the aggregation
-    hop. A run spans domains with [run ~domains:n] and is bit-identical
-    to the sequential reference ([domains:1]). *)
-
-type placement = Least_loaded | Round_robin
+type placement = Cluster.placement = Least_loaded | Round_robin
 
 val placement_name : placement -> string
 
 type config = {
-  nodes : int;  (** worker nodes (>= 2); islands = nodes + 1 *)
   jobs : int;
   seed : int;
   mean_interarrival_s : float;  (** open-loop Poisson arrivals *)
@@ -27,33 +19,33 @@ type config = {
   fail_rate : float;
       (** per-phase failure probability; phases retry up to a budget,
           then the job fails *)
-  quantum_instructions : float;
-  topology : Machine.Topology.t;
-      (** must have exactly [nodes] nodes; {!run} validates *)
+  topology : Machine.Topology.t;  (** at least 2 nodes; {!run} validates *)
 }
 
 val default : nodes:int -> jobs:int -> seed:int -> config
 (** One flat rack of alternating x86/arm64 nodes whose local link is
-    the paper's 10GbE point-to-point interconnect — the pre-cluster
-    fleet cost model, exactly. *)
+    the paper's 10GbE point-to-point interconnect: every distinct pair
+    sees the pre-cluster fleet cost model exactly, so earlier fleet
+    scenarios keep their meaning. Least-loaded placement with migration,
+    0.5 s mean interarrival, 0.25 s epoch, no failures. *)
 
-val with_topology : config -> Machine.Topology.t -> config
-(** Replace the topology, keeping [nodes] consistent with it. *)
-
-type result = {
+type result = Cluster.result = {
   completed : int;
   failed : int;
   retried_phases : int;
   migrations : int;
+  steals : int;
+  deferred : int;
   makespan : float;
   total_energy_j : float;
   energy_x86_j : float;
   energy_arm_j : float;
   edp : float;
+  peak_power_w : float;
   p50_latency_s : float;
   p99_latency_s : float;
-  events : int;  (** simulation events executed *)
-  windows : int;  (** conservative synchronization windows *)
+  events : int;
+  windows : int;
 }
 
 val run : ?domains:int -> config -> result
@@ -61,12 +53,9 @@ val run : ?domains:int -> config -> result
     [domains]. *)
 
 val run_audited : ?domains:int -> config -> result * Sim.Islands.capture
-(** Like {!run}, with the runtime's audit capture enabled: records post
-    edges, executed events, window barriers, PRNG fingerprints, and
-    ownership touches (scheduler island owns resource 0; node island
-    [i+1] owns resource [i+1]) for the [hetmig audit] passes. The
-    simulated result is identical to {!run}'s — capture is pure
-    observation. *)
+(** Like {!run}, with the runtime's audit capture enabled for the
+    [hetmig audit] passes (see {!Cluster.run_audited}). The simulated
+    result is identical to {!run}'s. *)
 
 val render : config -> result -> string
 (** Byte-stable text report (no wall-clock, no domain count): the
