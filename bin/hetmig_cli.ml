@@ -596,7 +596,7 @@ let fleet_cmd =
     let must v = validated ~cmd:"fleet" v in
     let nodes = must (Sched.Validate.at_least ~what:"--nodes" ~min:2 nodes) in
     let jobs = must (Sched.Validate.at_least ~what:"--jobs" ~min:1 jobs) in
-    let epoch = must (Sched.Validate.positive_float ~what:"--epoch" epoch) in
+    let epoch = must (Sched.Validate.epoch epoch) in
     let rate = must (Sched.Validate.positive_float ~what:"--rate" rate) in
     let fail_rate =
       must (Sched.Validate.probability ~what:"--fail-rate" fail_rate)
@@ -670,7 +670,7 @@ let fleet_cmd =
     Arg.(value & opt float 0.25
          & info [ "epoch" ] ~docv:"S"
              ~doc:"Control-traffic batching epoch in seconds — the \
-                   runtime's conservative lookahead.")
+                   runtime's conservative lookahead; at least 0.001.")
   in
   let rate =
     Arg.(value & opt float 0.5
@@ -726,7 +726,7 @@ let cluster_cmd =
     let must v = validated ~cmd:"cluster" v in
     let nodes = must (Sched.Validate.at_least ~what:"--nodes" ~min:2 nodes) in
     let jobs = must (Sched.Validate.at_least ~what:"--jobs" ~min:1 jobs) in
-    let epoch = must (Sched.Validate.positive_float ~what:"--epoch" epoch) in
+    let epoch = must (Sched.Validate.epoch epoch) in
     let rate = must (Sched.Validate.positive_float ~what:"--rate" rate) in
     let islands = must (Sched.Validate.islands islands) in
     let topology =
@@ -825,8 +825,9 @@ let cluster_cmd =
   let epoch =
     Arg.(value & opt float 0.25
          & info [ "epoch" ] ~docv:"S"
-             ~doc:"Control-traffic batching epoch in seconds; each island \
-                   pair's lookahead is this plus its path latency.")
+             ~doc:"Control-traffic batching epoch in seconds, at least \
+                   0.001; each island pair's lookahead is this plus its \
+                   path latency.")
   in
   let rate =
     Arg.(value & opt float 0.02
@@ -877,7 +878,7 @@ let serve_cmd =
       end
     in
     let nodes = must (Sched.Validate.at_least ~what:"--nodes" ~min:2 nodes) in
-    let epoch = must (Sched.Validate.positive_float ~what:"--epoch" epoch) in
+    let epoch = must (Sched.Validate.epoch epoch) in
     let islands = must (Sched.Validate.islands islands) in
     let check_rate what = function
       | None -> ()
@@ -1053,7 +1054,7 @@ let serve_cmd =
     Arg.(value & opt float 0.05
          & info [ "epoch" ] ~docv:"S"
              ~doc:"Routing/report batching epoch in seconds — the \
-                   runtime's conservative lookahead.")
+                   runtime's conservative lookahead; at least 0.001.")
   in
   let slo =
     Arg.(value & opt float 150.0

@@ -30,10 +30,11 @@ let of_arch arch =
   | Arch.X86_64 -> { arch; frequency_hz = 3.5e9; ipc = xeon_ipc }
   | Arch.Arm64 -> { arch; frequency_hz = 2.4e9; ipc = xgene_ipc }
 
-let mips t cat = t.frequency_hz *. t.ipc cat /. 1e6
+let instructions_per_s t cat = t.frequency_hz *. t.ipc cat
+let mips t cat = instructions_per_s t cat /. 1e6
 
 let seconds_for t cat ~instructions =
-  instructions /. (t.frequency_hz *. t.ipc cat)
+  instructions /. instructions_per_s t cat
 
 let speedup_vs fast slow cat =
-  (fast.frequency_hz *. fast.ipc cat) /. (slow.frequency_hz *. slow.ipc cat)
+  instructions_per_s fast cat /. instructions_per_s slow cat

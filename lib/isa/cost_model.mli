@@ -21,6 +21,10 @@ type t = {
 
 val of_arch : Arch.t -> t
 
+val instructions_per_s : t -> category -> float
+(** [frequency_hz *. ipc cat]: instructions one core retires per second
+    for the given mix. *)
+
 val mips : t -> category -> float
 (** Effective millions of instructions per second for the given mix. *)
 

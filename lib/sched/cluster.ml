@@ -123,11 +123,24 @@ let job_pool =
 
 let thread_counts = [| 1; 2; 4 |]
 
+(* Int-specialised: [Stdlib.min]/[max] compare polymorphically. *)
+let imin (a : int) b = if a <= b then a else b
+let imax (a : int) b = if a >= b then a else b
+
+(* Workload categories in table order: a job carries its category's
+   index into the per-run tables below. *)
+let categories = Array.of_list Isa.Cost_model.categories
+
+let category_index c =
+  let rec go i = if categories.(i) = c then i else go (i + 1) in
+  go 0
+
 type job = {
   jid : int;
   arrival : float;
   threads : int;
   spec : Workload.Spec.t;
+  cat : int;  (** index of [spec]'s category in [categories] *)
   n_phases : int;
   phase_instr : float;
 }
@@ -144,9 +157,10 @@ let make_job rng jid arrival =
     spec.Workload.Spec.total_instructions /. float_of_int threads
   in
   let n_phases =
-    max 1 (int_of_float (Float.ceil (per_thread /. quantum_instructions)))
+    imax 1 (int_of_float (Float.ceil (per_thread /. quantum_instructions)))
   in
-  { jid; arrival; threads; spec; n_phases;
+  { jid; arrival; threads; spec;
+    cat = category_index spec.Workload.Spec.category; n_phases;
     phase_instr = per_thread /. float_of_int n_phases }
 
 (* --- per-island state -------------------------------------------------- *)
@@ -161,14 +175,26 @@ type running = {
   mutable pending : (int * bool) option;
       (** (dst, is a theft): move there at the next phase boundary *)
   mutable phase_retries : int;  (** failures of the current phase *)
+  mutable step : Sim.Islands.island -> unit;
+      (** the phase-done action on the node it runs on, built once per
+          landing instead of once per phase *)
 }
+
+(* A node's energy integral. An all-float record stores its fields
+   unboxed, so settling allocates nothing. *)
+type meter = { mutable energy_j : float; mutable last_update : float }
 
 type node_state = {
   node_id : int;
   machine : Machine.Server.t;
+  ips : float array;
+      (** by category: [Isa.Cost_model.instructions_per_s], so a phase
+          computes for [phase_instr /. ips.(cat)] seconds *)
+  power : float array;
+      (** system watts by busy count, saturating at [cores]: the node's
+          {!Admission} row *)
   mutable busy : int;
-  mutable energy_j : float;
-  mutable last_update : float;
+  meter : meter;
   mutable running : running list;
   mutable migrations_out : int;
   mutable steals_in : int;
@@ -187,17 +213,16 @@ type sched_state = {
   mutable peak_power_w : float;
 }
 
-let utilization ns =
-  Float.min 1.0
-    (float_of_int ns.busy /. float_of_int ns.machine.Machine.Server.cores)
+(* A node's estimated load per core. Top level and inlined, so the
+   per-node scans of a tick box no float. *)
+let[@inline] norm sched n =
+  float_of_int sched.est_load.(n) /. float_of_int sched.cores.(n)
 
 let settle ns ~now =
-  let power =
-    Machine.Power.system_power ns.machine.Machine.Server.power
-      ~utilization:(utilization ns)
-  in
-  ns.energy_j <- ns.energy_j +. ((now -. ns.last_update) *. power);
-  ns.last_update <- now
+  let power = ns.power.(imin ns.busy (Array.length ns.power - 1)) in
+  let m = ns.meter in
+  m.energy_j <- m.energy_j +. ((now -. m.last_update) *. power);
+  m.last_update <- now
 
 let adjust_busy ns ~now delta =
   settle ns ~now;
@@ -269,9 +294,9 @@ module Admission = struct
     in
     { power; guard_w = 2.0 *. float_of_int (n_nodes + 1) *. epsilon_float *. sigma }
 
-  let node_power t n load =
+  let[@inline] node_power t n load =
     let row = t.power.(n) in
-    row.(min load (Array.length row - 1))
+    row.(imin load (Array.length row - 1))
 
   (* The exact sum, in node order, with [extra] threads on node [on]. *)
   let projected t loads ~on ~extra =
@@ -300,7 +325,7 @@ module Admission = struct
     !best
 end
 
-let max_threads = Array.fold_left max 0 thread_counts
+let max_threads = Array.fold_left imax 0 thread_counts
 
 let min_power_cap topo =
   Admission.min_cap (Admission.create topo) ~extra:max_threads
@@ -362,14 +387,22 @@ let run_impl ?(domains = 1) ~capture cfg =
       Sim.Islands.touch isl ~owner:(ns.node_id + 1) ~resource:(ns.node_id + 1)
         ~write:true
   in
+  (* Per-run tables. Each entry is computed once by the very expression
+     the event path used to evaluate per use, so every read is
+     bit-identical to the call it replaces. *)
   let nodes =
     Array.init n_nodes (fun i ->
+        let machine = Machine.Topology.server topo i in
         {
           node_id = i;
-          machine = Machine.Topology.server topo i;
+          machine;
+          ips =
+            Array.map
+              (Isa.Cost_model.instructions_per_s machine.Machine.Server.cost)
+              categories;
+          power = admission.Admission.power.(i);
           busy = 0;
-          energy_j = 0.0;
-          last_update = 0.0;
+          meter = { energy_j = 0.0; last_update = 0.0 };
           running = [];
           migrations_out = 0;
           steals_in = 0;
@@ -427,41 +460,37 @@ let run_impl ?(domains = 1) ~capture cfg =
   let rec run_phase (r : running) ns isl =
     touch_node isl ns;
     let now = Sim.Islands.now isl in
-    let m = ns.machine in
-    let compute =
-      Isa.Cost_model.seconds_for m.Machine.Server.cost
-        r.job.spec.Workload.Spec.category ~instructions:r.job.phase_instr
+    let compute = r.job.phase_instr /. ns.ips.(r.job.cat) in
+    (* [Float.max 1.0 load]: the load is never NaN. *)
+    let load =
+      float_of_int ns.busy /. float_of_int ns.machine.Machine.Server.cores
     in
-    let contention =
-      Float.max 1.0
-        (float_of_int ns.busy /. float_of_int m.Machine.Server.cores)
-    in
+    let contention = if load > 1.0 then load else 1.0 in
     (* Phase-locality sampling from the island's private stream: a cold
        working set faults on every page of the phase window; a warm one
        occasionally takes a small burst of misses. *)
-    let misses, miss_cost =
-      if r.cold then (phase_pages, cold_fault_cost r ns)
+    let duration =
+      if r.cold then begin
+        r.cold <- false;
+        (compute *. contention)
+        +. (float_of_int phase_pages *. cold_fault_cost r ns)
+      end
       else begin
-        let u = Sim.Prng.float (Sim.Islands.prng isl) 1.0 in
-        ( (if u < 0.05 then 1 + Sim.Prng.int (Sim.Islands.prng isl) 4 else 0),
-          warm_fault_cost )
+        let prng = Sim.Islands.prng isl in
+        let misses =
+          if Sim.Prng.chance prng 0.05 then 1 + Sim.Prng.int prng 4 else 0
+        in
+        (compute *. contention) +. (float_of_int misses *. warm_fault_cost)
       end
     in
-    r.cold <- false;
-    let duration =
-      (compute *. contention) +. (float_of_int misses *. miss_cost)
-    in
-    Sim.Islands.schedule isl ~at:(now +. duration) (fun isl ->
-        phase_done r ns isl)
+    Sim.Islands.schedule isl ~at:(now +. duration) r.step
 
   and phase_done (r : running) ns isl =
     touch_node isl ns;
     let now = Sim.Islands.now isl in
     (* Failure draw only when phases can fail: a zero-rate run draws the
        same PRNG stream as one with no failure machinery at all. *)
-    if
-      cfg.fail_rate > 0.0
-      && Sim.Prng.float (Sim.Islands.prng isl) 1.0 < cfg.fail_rate
+    if cfg.fail_rate > 0.0 && Sim.Prng.chance (Sim.Islands.prng isl) cfg.fail_rate
     then begin
       if r.phase_retries >= max_phase_retries then
         retire r ns isl ~now (fun () -> sched.failed <- sched.failed + 1)
@@ -517,12 +546,13 @@ let run_impl ?(domains = 1) ~capture cfg =
     if steal then ns.steals_in <- ns.steals_in + 1;
     adjust_busy ns ~now:(Sim.Islands.now isl) r.job.threads;
     ns.running <- r :: ns.running;
+    r.step <- (fun isl -> phase_done r ns isl);
     run_phase r ns isl
 
   and job_start (job : job) isl =
     job_land ~steal:false
       { job; remaining = job.n_phases; cold = true; src_node = -1;
-        pending = None; phase_retries = 0 }
+        pending = None; phase_retries = 0; step = ignore }
       isl
 
   and migrate_cmd ?(steal = false) ~dst isl =
@@ -551,14 +581,18 @@ let run_impl ?(domains = 1) ~capture cfg =
   (* --- scheduler island (island 0) ------------------------------------- *)
   (* Admission: at most 2x oversubscription of a node's cores. *)
   let fits n threads = sched.est_load.(n) + threads <= 2 * sched.cores.(n) in
-  let norm n =
-    float_of_int sched.est_load.(n) /. float_of_int sched.cores.(n)
+  (* Throughput per watt by category, then node. *)
+  let efficiency_by_cat =
+    Array.map
+      (fun cat -> Array.map (fun ns -> efficiency ns.machine cat) nodes)
+      categories
   in
   (* The node other than [except] with room for [threads] that runs
      [cat] most efficiently (throughput per watt), discounted by load —
      so a busy efficient node loses to an idle slightly-less-efficient
      one; -1 if none has room. *)
   let most_efficient ~except ~threads cat =
+    let efficiency = efficiency_by_cat.(cat) in
     let best = ref (-1) in
     let best_s = ref Float.neg_infinity in
     for n = 0 to n_nodes - 1 do
@@ -568,7 +602,7 @@ let run_impl ?(domains = 1) ~capture cfg =
           -. (float_of_int sched.est_load.(n)
              /. float_of_int (2 * sched.cores.(n)))
         in
-        let s = efficiency nodes.(n).machine cat *. headroom in
+        let s = efficiency.(n) *. headroom in
         if s > !best_s then begin
           best := n;
           best_s := s
@@ -577,6 +611,7 @@ let run_impl ?(domains = 1) ~capture cfg =
     done;
     !best
   in
+  (* The node [job] goes to, or -1 when none admits it now. *)
   let pick_node (job : job) =
     match cfg.policy with
     | Pack_power_cap ->
@@ -608,20 +643,13 @@ let run_impl ?(domains = 1) ~capture cfg =
         end
       done;
       if !best < 0 && !blocked then sched.deferred <- sched.deferred + 1;
-      if !best >= 0 then begin
+      if !best >= 0 then
         sched.peak_power_w <-
           Float.max sched.peak_power_w
             (Admission.projected admission loads ~on:!best
                ~extra:job.threads);
-        Some !best
-      end
-      else None
-    | Edp_migrate ->
-      let n =
-        most_efficient ~except:(-1) ~threads:job.threads
-          job.spec.Workload.Spec.category
-      in
-      if n >= 0 then Some n else None
+      !best
+    | Edp_migrate -> most_efficient ~except:(-1) ~threads:job.threads job.cat
     | Balance { placement = Least_loaded; _ } ->
       let best = ref (-1) in
       let best_w = ref Float.infinity in
@@ -637,31 +665,32 @@ let run_impl ?(domains = 1) ~capture cfg =
           end
         end
       done;
-      if !best >= 0 then Some !best else None
+      !best
     | Work_steal | Balance { placement = Round_robin; _ } ->
-      let found = ref None in
+      let found = ref (-1) in
       let tries = ref 0 in
-      while !found = None && !tries < n_nodes do
+      while !found < 0 && !tries < n_nodes do
         let n = sched.rr mod n_nodes in
         sched.rr <- sched.rr + 1;
-        if fits n job.threads then found := Some n;
+        if fits n job.threads then found := n;
         incr tries
       done;
       !found
   in
-  (* The node whose per-core load estimate is [better] than every
-     other's; the lowest index wins ties. *)
-  let extreme (better : float -> float -> bool) =
+  (* The node with the highest (or, without [highest], the lowest)
+     per-core load estimate; the lowest index wins ties. *)
+  let extreme ~highest =
     let x = ref 0 in
     for n = 1 to n_nodes - 1 do
-      if better (norm n) (norm !x) then x := n
+      let a = norm sched n and b = norm sched !x in
+      if if highest then a > b else a < b then x := n
     done;
     !x
   in
   (* Command one migration from [hi] to [dst] when their load gap is
      wide enough; one per epoch lets the system settle between moves. *)
   let shed isl ~hi ~dst =
-    if norm hi -. norm dst >= 0.75 && sched.est_load.(hi) >= 2 then
+    if norm sched hi -. norm sched dst >= 0.75 && sched.est_load.(hi) >= 2 then
       Sim.Islands.post isl ~dst:(hi + 1) ~after:ctrl_delay.(hi)
         (migrate_cmd ~dst)
   in
@@ -671,12 +700,15 @@ let run_impl ?(domains = 1) ~capture cfg =
     | Pack_power_cap (* the cap is enforced at admission *)
     | Balance { migration = false; _ } -> ()
     | Balance { migration = true; _ } ->
-      shed isl ~hi:(extreme ( > )) ~dst:(extreme ( < ))
+      shed isl ~hi:(extreme ~highest:true) ~dst:(extreme ~highest:false)
     | Edp_migrate ->
       (* Worst-placed load moves to the best other node with room,
          ranked by efficiency-weighted pressure. *)
-      let hi = extreme ( > ) in
-      let dst = most_efficient ~except:hi ~threads:1 Isa.Cost_model.Mixed in
+      let hi = extreme ~highest:true in
+      let dst =
+        most_efficient ~except:hi ~threads:1
+          (category_index Isa.Cost_model.Mixed)
+      in
       if dst >= 0 then shed isl ~hi ~dst
     | Work_steal ->
       (* Every idle node steals from the most-loaded victim, in-rack
@@ -684,7 +716,11 @@ let run_impl ?(domains = 1) ~capture cfg =
          than local. One theft per thief per epoch. Victims carry the
          top load (at least 2); the lowest-index one breaks ties, in
          the thief's rack if any there carries it, else cluster-wide. *)
-      let top = Array.fold_left max 1 sched.est_load in
+      let top = ref 1 in
+      for n = 0 to n_nodes - 1 do
+        top := imax !top sched.est_load.(n)
+      done;
+      let top = !top in
       if top >= 2 then begin
         let first = ref (-1) in
         Array.fill rack_victim 0 (Array.length rack_victim) (-1);
@@ -711,13 +747,14 @@ let run_impl ?(domains = 1) ~capture cfg =
     let dispatching = ref true in
     while !dispatching && not (Queue.is_empty sched.queue) do
       let job = Queue.peek sched.queue in
-      match pick_node job with
-      | None -> dispatching := false
-      | Some n ->
+      let n = pick_node job in
+      if n < 0 then dispatching := false
+      else begin
         ignore (Queue.pop sched.queue);
         sched.est_load.(n) <- sched.est_load.(n) + job.threads;
         Sim.Islands.post isl ~dst:(n + 1) ~after:ctrl_delay.(n)
           (job_start job)
+      end
     done;
     rebalance isl;
     if sched.outstanding > 0 then
@@ -744,12 +781,12 @@ let run_impl ?(domains = 1) ~capture cfg =
   (* Idle-settle every node out to the makespan so energy covers the same
      interval on every node, in node order. *)
   Array.iter
-    (fun ns -> if ns.last_update < makespan then settle ns ~now:makespan)
+    (fun ns -> if ns.meter.last_update < makespan then settle ns ~now:makespan)
     nodes;
   let energy_of arch =
     Array.fold_left
       (fun acc ns ->
-        if ns.machine.Machine.Server.arch = arch then acc +. ns.energy_j
+        if ns.machine.Machine.Server.arch = arch then acc +. ns.meter.energy_j
         else acc)
       0.0 nodes
   in

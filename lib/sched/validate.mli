@@ -8,6 +8,15 @@ val at_least : what:string -> min:int -> int -> (int, string) result
 val positive_float : what:string -> float -> (float, string) result
 (** Finite and strictly positive. *)
 
+val min_epoch_s : float
+(** 1e-3 s: the floor {!epoch} enforces. *)
+
+val epoch : float -> (float, string) result
+(** [--epoch] for [cluster], [fleet] and [serve]: finite and at least
+    {!min_epoch_s}. The epoch is the island runtime's lookahead, so the
+    number of windows a run takes grows as 1/epoch; below the floor a
+    run may not finish. *)
+
 val probability : what:string -> float -> (float, string) result
 (** Finite and in [0, 1]. *)
 

@@ -60,6 +60,22 @@ let is_empty t = t.size = 0
 let capacity t = Array.length t.times
 let min_time t = if t.size = 0 then Float.infinity else t.times.(0)
 
+(* The two per-window head queries of the island runtime, answered
+   without returning a float: a float result of a cross-module call is
+   boxed (dune's dev profile compiles with -opaque), and the runtime
+   asks once per event and once per island per window. *)
+let head_before t until = t.size > 0 && not (t.times.(0) >= until)
+
+(* [acc.(0) <- Float.min acc.(0) (min_time t)], bit for bit: a head
+   above the accumulator, or equal to it and non-zero, leaves it as it
+   is; only signed zeros and NaN need [Float.min]'s own rules. *)
+let lower_min_time t (acc : float array) =
+  if t.size > 0 then begin
+    let h = t.times.(0) and a = acc.(0) in
+    if h < a then acc.(0) <- h
+    else if (not (h >= a)) || h = 0.0 then acc.(0) <- Float.min a h
+  end
+
 (* The (time, seq, src) total order of the islanded runtime: is the key
    at slot [i] before the explicit key (time, seq, src)? *)
 let[@inline] slot_before t i ~time ~seq ~src =

@@ -29,6 +29,16 @@ val capacity : 'a t -> int
 val min_time : 'a t -> float
 (** Timestamp of the earliest pending event, or [infinity] if empty. *)
 
+val head_before : 'a t -> float -> bool
+(** [head_before t until]: the calendar is non-empty and its earliest
+    event is not at or after [until] — exactly
+    [not (size t = 0 || min_time t >= until)], with no float boxed. *)
+
+val lower_min_time : 'a t -> float array -> unit
+(** [lower_min_time t acc] sets [acc.(0)] to
+    [Float.min acc.(0) (min_time t)], bit for bit, with no float
+    boxed. *)
+
 val push : 'a t -> time:float -> src:int -> seq:int -> 'a -> unit
 
 val pop : 'a t -> 'a

@@ -130,6 +130,9 @@ type t = {
   lookahead : float;  (* window lookahead: min over all edges *)
   edge : float array array;  (* [||] when uniform *)
   islands : island array;
+  next_acc : float array;
+      (* [next_time]'s unboxed accumulator: one slot per runtime, never
+         global, so runtimes on different domains never share it *)
   mutable windows : int;
   cap_on : bool;
   prng0 : int64 array;  (* per-island fingerprints at creation (capture) *)
@@ -138,11 +141,13 @@ type t = {
 
 let noop_action (_ : island) = ()
 
-(* Outboxes start with zero capacity: most (src,dst) pairs in a
-   star-shaped topology (nodes <-> controller) never talk, and lazily
-   growing only the live pairs keeps n^2 boxes cheap at fleet scale. *)
-let empty_outbox () =
-  { o_times = [||]; o_seqs = [||]; o_acts = [||]; o_n = 0 }
+(* Most (src,dst) pairs in a star-shaped topology (nodes <-> controller)
+   never talk, so a pair gets its box on its first post; until then its
+   slot holds this shared placeholder, which is never written. Filling
+   an island's row with one old value, rather than [n] fresh young
+   boxes, also keeps [Array.make] from forcing a minor collection per
+   island when [n] exceeds the minor heap's largest block. *)
+let no_outbox = { o_times = [||]; o_seqs = [||]; o_acts = [||]; o_n = 0 }
 
 let outbox_grow box =
   let cap' = max 4 (Array.length box.o_times * 2) in
@@ -214,7 +219,7 @@ let create ?(record = false) ?(capture = false) ?edge_lookahead ~islands:n
           clock = 0.0;
           next_seq = 0;
           prng = Prng.split master;
-          outboxes = Array.init n (fun _ -> empty_outbox ());
+          outboxes = Array.make n no_outbox;
           dirty = Array.make n 0;
           dirty_n = 0;
           executed = 0;
@@ -231,8 +236,8 @@ let create ?(record = false) ?(capture = false) ?edge_lookahead ~islands:n
     if capture then Array.map (fun isl -> Prng.fingerprint isl.prng) islands
     else [||]
   in
-  { lookahead = window_lookahead; edge; islands; windows = 0; cap_on = capture;
-    prng0; cap_barriers = [] }
+  { lookahead = window_lookahead; edge; islands; next_acc = [| 0.0 |];
+    windows = 0; cap_on = capture; prng0; cap_barriers = [] }
 
 let island t id = t.islands.(id)
 let island_count t = Array.length t.islands
@@ -261,7 +266,15 @@ let post isl ~dst ~after act =
          after isl.out_lookahead.(dst) isl.id dst);
   if dst = isl.id then schedule_in isl ~after act
   else begin
-    let box = isl.outboxes.(dst) in
+    let box =
+      let box = isl.outboxes.(dst) in
+      if box != no_outbox then box
+      else begin
+        let box = { o_times = [||]; o_seqs = [||]; o_acts = [||]; o_n = 0 } in
+        isl.outboxes.(dst) <- box;
+        box
+      end
+    in
     if box.o_n = 0 then begin
       isl.dirty.(isl.dirty_n) <- dst;
       isl.dirty_n <- isl.dirty_n + 1
@@ -310,8 +323,7 @@ let run_island_window isl ~window ~until =
   isl.cur_window <- window;
   let continue = ref true in
   while !continue do
-    if Calendar.size cal = 0 || Calendar.min_time cal >= until then
-      continue := false
+    if not (Calendar.head_before cal until) then continue := false
     else begin
       let act = Calendar.pop cal in
       let clock_before = isl.clock in
@@ -348,9 +360,12 @@ let run_island_window isl ~window ~until =
   done
 
 let next_time t =
-  Array.fold_left
-    (fun acc isl -> Float.min acc (Calendar.min_time isl.cal))
-    Float.infinity t.islands
+  let acc = t.next_acc in
+  acc.(0) <- Float.infinity;
+  for i = 0 to Array.length t.islands - 1 do
+    Calendar.lower_min_time t.islands.(i).cal acc
+  done;
+  acc.(0)
 
 (* Merge every staged cross-island message into its destination
    calendar. Runs only at window barriers, single-threaded. Each

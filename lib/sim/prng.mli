@@ -38,6 +38,10 @@ val int_in : t -> int -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
+val chance : t -> float -> bool
+(** [chance t p] is [float t 1.0 < p]: the same draw, compared without
+    returning a boxed float. *)
+
 val float_in : t -> float -> float -> float
 (** [float_in t lo hi] is uniform in [\[lo, hi)]. *)
 

@@ -2,6 +2,7 @@ let () =
   Alcotest.run "hetmig"
     [
       ("sim", Test_sim.suite);
+      ("prng", Test_prng.suite);
       ("islands", Test_islands.suite);
       ("obs", Test_obs.suite);
       ("isa", Test_isa.suite);

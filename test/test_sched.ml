@@ -101,6 +101,29 @@ let validate_messages () =
     "--islands must be at least 1 (got 0)"
     (err (V.islands (Some 0)))
 
+(* [--epoch] is the island runtime's lookahead: below the floor the
+   window count explodes (1.3M windows for a 50-job cluster at 1e-5 s,
+   no end at 1e-9 s), so cluster, fleet and serve refuse it. *)
+let validate_epoch () =
+  let module V = Sched.Validate in
+  let err = function Error e -> e | Ok _ -> Alcotest.fail "expected Error" in
+  Alcotest.check Alcotest.string "1e-5 names the flag and the floor"
+    "--epoch must be at least 0.001 s (got 1e-05)" (err (V.epoch 1e-5));
+  Alcotest.check Alcotest.string "1e-9 rejected"
+    "--epoch must be at least 0.001 s (got 1e-09)" (err (V.epoch 1e-9));
+  Alcotest.check Alcotest.string "zero rejected as non-positive"
+    "--epoch must be a positive number (got 0)" (err (V.epoch 0.0));
+  Alcotest.check Alcotest.string "nan rejected"
+    "--epoch must be a positive number (got nan)" (err (V.epoch Float.nan));
+  Alcotest.check Alcotest.string "infinity rejected"
+    "--epoch must be a positive number (got inf)"
+    (err (V.epoch Float.infinity));
+  checkb "just below the floor rejected" true
+    (Result.is_error (V.epoch (Float.pred V.min_epoch_s)));
+  List.iter
+    (fun e -> checkb (Printf.sprintf "%g accepted" e) true (V.epoch e = Ok e))
+    [ V.min_epoch_s; 0.05; 0.25; 10.0 ]
+
 let validate_crash_specs () =
   let module V = Sched.Validate in
   let err = function Error e -> e | Ok _ -> Alcotest.fail "expected Error" in
@@ -308,6 +331,7 @@ let suite =
     ("policy applies FinFET projection", `Quick, policy_finfet_projection_applied);
     ("policy results are fresh per call", `Quick, policy_results_are_fresh);
     ("validate: flag messages", `Quick, validate_messages);
+    ("validate: epoch floor", `Quick, validate_epoch);
     ("validate: crash specs name the token", `Quick, validate_crash_specs);
     ("validate: topology knobs", `Quick, validate_topology);
     ("scheduler completes all jobs", `Slow, scheduler_completes_all_jobs);
